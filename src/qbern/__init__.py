@@ -21,8 +21,6 @@ from .exactnum import (
 )
 from .qcore import InadmissibleArg, QContext, qnum, qnum_add_split, qnum_scale_split
 from .bernoulli import (
-    CarlitzTable,
-    ClassicalTable,
     carlitz_numbers,
     carlitz_numbers_ratfunc,
     carlitz_poly,
@@ -56,7 +54,6 @@ from .symmetry import (
 from .padic import (
     INF,
     PadicParams,
-    PadicValue,
     convergence_report,
     riemann_sum_carlitz,
     riemann_sum_degenerate,
@@ -82,15 +79,14 @@ __all__ = [
     "PoleError", "RatFuncQ", "Rational", "RationalLike", "as_rational", "binom",
     "falling", "rat_str", "ratfunc_limit", "stirling1",
     "InadmissibleArg", "QContext", "qnum", "qnum_add_split", "qnum_scale_split",
-    "CarlitzTable", "ClassicalTable", "carlitz_numbers", "carlitz_numbers_ratfunc",
-    "carlitz_poly", "carlitz_poly_values", "classical_numbers", "classical_poly",
-    "degenerate_qpoly",
+    "carlitz_numbers", "carlitz_numbers_ratfunc", "carlitz_poly", "carlitz_poly_values",
+    "classical_numbers", "classical_poly", "degenerate_qpoly",
     "TruncSeries", "ZeroLambda", "binom_series", "carlitz_degenerate",
     "carlitz_series", "kim_degenerate", "kim_series", "log1p_series",
     "log_factor_series",
     "CapExceeded", "SigmaView", "SymmetryReport", "WeightVector", "kernel_K",
     "thm1_coeffs", "thm2_expr", "thm3_expr", "verify",
-    "INF", "PadicParams", "PadicValue", "convergence_report",
+    "INF", "PadicParams", "convergence_report",
     "riemann_sum_carlitz", "riemann_sum_degenerate", "riemann_sum_mu1", "vp",
     "OracleReport", "SuiteResult", "oracle_report", "q_lam_points",
     "qlemma_suite", "sample_q", "sample_rational", "series_factor_suite",

@@ -22,7 +22,6 @@ thousands of times.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -30,8 +29,6 @@ from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling1
 from .qcore import InadmissibleArg, QContext, qnum
 
 __all__ = [
-    "CarlitzTable",
-    "ClassicalTable",
     "carlitz_numbers",
     "carlitz_poly",
     "carlitz_poly_values",
@@ -40,33 +37,6 @@ __all__ = [
     "classical_poly",
     "carlitz_numbers_ratfunc",
 ]
-
-
-@dataclass(frozen=True)
-class CarlitzTable:
-    """q-Bernoulli numbers values[i] = b_i at base q^c."""
-
-    ctx: QContext
-    values: Tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class ClassicalTable:
-    """Classical Bernoulli numbers values[i] = B_i (B_1 = -1/2)."""
-
-    values: Tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 _carlitz_cache: Dict[Tuple[Fraction, int], List[Fraction]] = {}
@@ -89,11 +59,11 @@ def _carlitz_values(nmax: int, ctx: QContext) -> List[Fraction]:
         return table[: nmax + 1]
 
 
-def carlitz_numbers(nmax: int, ctx: QContext) -> CarlitzTable:
-    """Table of q-Bernoulli numbers b_0..b_nmax at base q^c."""
+def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
+    """The q-Bernoulli numbers (b_0, ..., b_nmax) at base q^c."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return CarlitzTable(ctx, tuple(_carlitz_values(nmax, ctx)))
+    return tuple(_carlitz_values(nmax, ctx))
 
 
 def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fraction]:
@@ -148,8 +118,8 @@ _classical_cache: List[Fraction] = [Fraction(1)]
 _classical_lock = threading.Lock()
 
 
-def classical_numbers(nmax: int) -> ClassicalTable:
-    """Bernoulli numbers B_0..B_nmax from sum_{k<n} C(n,k) B_k = 0 (n >= 2)."""
+def classical_numbers(nmax: int) -> Tuple[Fraction, ...]:
+    """Bernoulli numbers (B_0, ..., B_nmax) from sum_{k<n} C(n,k) B_k = 0 (n >= 2)."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     with _classical_lock:
@@ -159,8 +129,7 @@ def classical_numbers(nmax: int) -> ClassicalTable:
             for k in range(n - 1):
                 acc += binom(n, k) * _classical_cache[k]
             _classical_cache.append(-acc / n)
-        values = tuple(_classical_cache[: nmax + 1])
-    return ClassicalTable(values)
+        return tuple(_classical_cache[: nmax + 1])
 
 
 def classical_poly(m: int, x: RationalLike) -> Fraction:
@@ -178,11 +147,12 @@ def classical_poly(m: int, x: RationalLike) -> Fraction:
 
 
 def carlitz_numbers_ratfunc(nmax: int) -> List[RatFuncQ]:
-    """b_n as normalized rational functions of q (base exponent 1).
+    """b_n as rational functions of q (base exponent 1).
 
-    Runs the defining recurrence over polynomial numerators against the
-    known denominator chain prod_{j=2}^{n+1} (q^j - 1), so no gcd work is
-    needed until the final normalization.  Enables exact q -> 1 limits.
+    Runs the defining recurrence over integer polynomial numerators against
+    the known denominator chain prod_{j=2}^{n+1} (q^j - 1); nothing is
+    reduced, and ratfunc_limit cancels the (q - 1) factors when it takes
+    the exact q -> 1 limit.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")

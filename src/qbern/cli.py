@@ -1,7 +1,8 @@
 """Command-line front end: compute values, run suites, run oracles.
 
 Exit status: 0 when everything asked for passed (or a value was printed),
-1 when a verification suite or oracle found a mismatch, 2 on usage errors.
+1 when a verification suite or oracle found a mismatch, 2 on usage errors,
+on a selection that yields no checks, and when --out cannot be written.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
 byte-stable for a fixed config and seed), or CSV flattened one row per
 item.
@@ -14,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +22,7 @@ from . import bernoulli, exactnum, series, suites, symmetry
 from .exactnum import rat_str
 from .qcore import QContext
 
-__all__ = ["RunConfig", "main", "entry", "build_parser"]
+__all__ = ["main", "entry", "build_parser"]
 
 COMPUTE_WHAT = ("stirling", "qbern", "qpoly", "degenerate", "kernel", "classical", "series")
 VERIFY_WHAT = ("thm1", "thm2", "thm3", "eq20", "eq12", "eq16", "series-factor", "stirling-mu1")
@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--q", type=_fraction_arg, help="base, as num/den")
     g.add_argument("--lambda", dest="lam", type=_fraction_arg, help="deformation, as num/den")
     g.add_argument("--p", type=int, default=5, help="odd prime for oracles (default 5)")
-    g.add_argument("--precision", type=int, default=12, help="p-adic working precision M")
     g.add_argument("--nmax", type=int, default=5, help="largest Riemann level N")
     g.add_argument("--order", type=int, help="series truncation order")
     g.add_argument("--samples", type=int, help="number of seeded sample points")
@@ -90,44 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; the seed pins all sampling."""
-
-    command: str
-    what: str
-    n: Optional[int]
-    m: Optional[int]
-    m_max: Optional[int]
-    x: Optional[Fraction]
-    weights: Optional[Tuple[int, ...]]
-    q: Optional[Fraction]
-    lam: Optional[Fraction]
-    p: int
-    precision: int
-    nmax: int
-    order: Optional[int]
-    samples: Optional[int]
-    seed: int
-    i: Optional[int]
-    t: Optional[int]
-    b: int
-    c: int
-    variant: str
-    fmt: str
-    out: Optional[str]
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=ns.command, what=ns.what, n=ns.n, m=ns.m, m_max=ns.m_max,
-            x=ns.x, weights=ns.weights, q=ns.q, lam=ns.lam, p=ns.p,
-            precision=ns.precision, nmax=ns.nmax, order=ns.order,
-            samples=ns.samples, seed=ns.seed, i=ns.i, t=ns.t, b=ns.b, c=ns.c,
-            variant=ns.variant, fmt=ns.fmt, out=ns.out,
-        )
-
-
 def _need(**named) -> None:
     for name, value in named.items():
         if value is None:
@@ -138,7 +99,7 @@ Document = Tuple[dict, Tuple[str, ...], Tuple[Tuple[object, ...], ...], List[str
 # (json_dict, csv_header, csv_rows, text_lines, failed)
 
 
-def _run_compute(cfg: RunConfig) -> Document:
+def _run_compute(cfg: argparse.Namespace) -> Document:
     what = cfg.what
     params: Dict[str, object] = {}
     if what == "stirling":
@@ -187,7 +148,7 @@ def _run_compute(cfg: RunConfig) -> Document:
     return json_dict, header, rows, [rendered], False
 
 
-def _run_verify(cfg: RunConfig) -> Document:
+def _run_verify(cfg: argparse.Namespace) -> Document:
     what = cfg.what
     if what in ("thm1", "thm2", "thm3", "eq20"):
         _need(weights=cfg.weights)
@@ -225,12 +186,12 @@ def _run_verify(cfg: RunConfig) -> Document:
     return suite.to_json_dict(), suite.csv_header, suite.csv_rows, lines, not suite.ok
 
 
-def _run_oracle(cfg: RunConfig) -> Document:
+def _run_oracle(cfg: argparse.Namespace) -> Document:
     n = cfg.n if cfg.n is not None else 2
     x0 = cfg.x if cfg.x is not None else Fraction(0)
     lam = cfg.lam if cfg.lam is not None else Fraction(0)
     rep = suites.oracle_report(cfg.what, n, x0=x0, q=cfg.q, lam=lam,
-                               p=cfg.p, M=cfg.precision, nmax=cfg.nmax)
+                               p=cfg.p, nmax=cfg.nmax)
     lines = [
         f"oracle {rep.family}: p={rep.p} q={rat_str(rep.q)} lambda={rat_str(rep.lam)} "
         f"n={rep.n} x0={rat_str(rep.x0)} target={rat_str(rep.target)}"
@@ -261,24 +222,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:                     # argparse handles usage/help itself
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
-    cfg = RunConfig.from_namespace(ns)
     try:
-        if cfg.command == "compute":
-            doc = _run_compute(cfg)
-        elif cfg.command == "verify":
-            doc = _run_verify(cfg)
+        if ns.command == "compute":
+            doc = _run_compute(ns)
+        elif ns.command == "verify":
+            doc = _run_verify(ns)
         else:
-            doc = _run_oracle(cfg)
+            doc = _run_oracle(ns)
     except UsageError as exc:
         print(f"qbern: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"qbern: error: {exc}", file=sys.stderr)
         return 2
-    payload = _render(doc, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    payload = _render(doc, ns.fmt)
+    if ns.out:
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"qbern: error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 1 if doc[4] else 0

@@ -7,8 +7,9 @@ supplies the shared scalar toolbox:
 * generalized binomial coefficients ``binom(e, k)`` for rational ``e``,
 * signed Stirling numbers of the first kind ``stirling1(n, m)``,
 * falling factorials ``falling(z, n)``,
-* ``RatFuncQ``, a normalized univariate rational function over the
-  rationals, used to take exact limits such as ``q -> 1``.
+* ``RatFuncQ``, a univariate rational function over the rationals kept
+  as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
+  which takes its exact limits such as ``q -> 1``.
 
 Stirling numbers use the signed convention fixed by
 
@@ -19,9 +20,10 @@ and the empty product / ``0**0 == 1`` conventions hold throughout.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 from typing import Sequence, Tuple, Union
 
 __all__ = [
@@ -110,213 +112,40 @@ def falling(z: RationalLike, n: int) -> Fraction:
     return out
 
 
-# --------------------------------------------------------------------------
-# Dense polynomial helpers (coefficient lists, low degree first).
-
-Poly = Tuple[Fraction, ...]
-
-
-def _ptrim(c: Sequence[Fraction]) -> Poly:
-    i = len(c)
-    while i > 1 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pzero(p: Poly) -> bool:
-    return len(p) == 1 and p[0] == 0
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _ptrim([
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ])
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if _pzero(a) or _pzero(b):
-        return (Fraction(0),)
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _pdivmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    # Exact long division over the rationals.
-    if _pzero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(rem) - 1 < db:
-        return (Fraction(0),), _ptrim(rem)
-    quo = [Fraction(0)] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        coef = rem[i] / lead
-        if coef != 0:
-            quo[i - db] = coef
-            for j, bj in enumerate(b):
-                rem[i - db + j] -= coef * bj
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _peval(a: Poly, x: Fraction) -> Fraction:
+def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     out = Fraction(0)
-    for c in reversed(a):
+    for c in reversed(p):
         out = out * x + c
     return out
 
 
-def _pint_primitive(a: Sequence[int]) -> Tuple[int, ...]:
-    # Primitive part of an integer polynomial, positive leading coefficient.
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return (0,)
-    sign = -1 if a[-1] < 0 else 1
-    return tuple(c * sign // g for c in a)
+def _deflate(p: Sequence[Fraction], x: Fraction) -> Tuple[Fraction, ...]:
+    # Quotient of p by (q - x) when p(x) == 0: synthetic division, top down.
+    out = []
+    acc = Fraction(0)
+    for c in reversed(p[1:]):
+        acc = acc * x + c
+        out.append(acc)
+    return tuple(reversed(out))
 
 
-def _pint_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    # prem(a, b) for integer polynomials, deg a >= deg b >= 0.
-    db = len(b) - 1
-    lb = b[-1]
-    rem = list(a)
-    while len(rem) - 1 >= db and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        coef = rem[-1]
-        rem = [lb * c for c in rem]
-        shift = len(rem) - 1 - db
-        for j, bj in enumerate(b):
-            rem[shift + j] -= coef * bj
-        rem.pop()
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem) if rem else (0,)
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals via a primitive Euclidean sequence."""
-    if _pzero(a) and _pzero(b):
-        return (Fraction(1),)
-
-    def to_int(p: Poly) -> Tuple[int, ...]:
-        lcm = 1
-        for c in p:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        return tuple(int(c * lcm) for c in p)
-
-    x = _pint_primitive(to_int(a)) if not _pzero(a) else (0,)
-    y = _pint_primitive(to_int(b)) if not _pzero(b) else (0,)
-    if x == (0,):
-        x, y = y, (0,)
-    while y != (0,):
-        if len(x) < len(y):
-            x, y = y, x
-            continue
-        r = _pint_pseudo_rem(x, y)
-        x, y = y, _pint_primitive(r)
-    lead = Fraction(x[-1])
-    return tuple(Fraction(c) / lead for c in x)
-
-
+@dataclass(frozen=True)
 class RatFuncQ:
-    """A rational function of one variable q, kept in normalized form.
+    """A rational function num(q) / den(q) of one variable q.
 
-    Normalization divides out the polynomial gcd of numerator and
-    denominator and makes the denominator monic, so removable
-    singularities are cancelled by construction and ``limit`` at a point
-    is just evaluation.
+    ``num`` and ``den`` are coefficient tuples, constant term first.  No
+    common factor is cancelled; :func:`ratfunc_limit` strips the ones that
+    vanish at the point it is asked about.
     """
 
-    __slots__ = ("num", "den")
+    num: Tuple[Fraction, ...]
+    den: Tuple[Fraction, ...] = (Fraction(1),)
 
-    def __init__(self, num, den=(1,)):
-        n = _ptrim([as_rational(c) for c in num]) if num else (Fraction(0),)
-        d = _ptrim([as_rational(c) for c in den]) if den else (Fraction(1),)
-        if _pzero(d):
+    def __post_init__(self):
+        object.__setattr__(self, "num", tuple(as_rational(c) for c in self.num))
+        object.__setattr__(self, "den", tuple(as_rational(c) for c in self.den))
+        if not any(self.den):
             raise ZeroDivisionError("RatFuncQ with zero denominator")
-        if _pzero(n):
-            n, d = (Fraction(0),), (Fraction(1),)
-        else:
-            g = _pgcd(n, d)
-            if len(g) > 1:
-                n, _ = _pdivmod(n, g)
-                d, _ = _pdivmod(d, g)
-            lead = d[-1]
-            if lead != 1:
-                n = tuple(c / lead for c in n)
-                d = tuple(c / lead for c in d)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFuncQ is immutable")
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "RatFuncQ":
-        return cls([as_rational(c)])
-
-    @classmethod
-    def var(cls) -> "RatFuncQ":
-        """The identity function q."""
-        return cls([0, 1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFuncQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RatFuncQ") -> "RatFuncQ":
-        return RatFuncQ(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
-
-    def __sub__(self, other: "RatFuncQ") -> "RatFuncQ":
-        return self + (-other)
-
-    def __neg__(self) -> "RatFuncQ":
-        return RatFuncQ(_pneg(self.num), self.den)
-
-    def __mul__(self, other: "RatFuncQ") -> "RatFuncQ":
-        return RatFuncQ(_pmul(self.num, other.num), _pmul(self.den, other.den))
-
-    def __truediv__(self, other: "RatFuncQ") -> "RatFuncQ":
-        if _pzero(other.num):
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFuncQ(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __pow__(self, k: int) -> "RatFuncQ":
-        if k < 0:
-            return RatFuncQ(self.den, self.num) ** (-k)
-        out = RatFuncQ([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return _pzero(self.num)
 
     def eval(self, q0: RationalLike) -> Fraction:
         q0 = as_rational(q0)
@@ -335,8 +164,13 @@ class RatFuncQ:
 def ratfunc_limit(f: RatFuncQ, q0: RationalLike) -> Fraction:
     """Exact limit of ``f`` at ``q0``.
 
-    Removable singularities were already cancelled when ``f`` was
-    normalized, so the limit is plain evaluation; a vanishing denominator
-    here is a genuine pole and raises :class:`PoleError`.
+    While numerator and denominator both vanish at ``q0``, their common
+    factor (q - q0) is divided out; then the limit is plain evaluation,
+    and a denominator that still vanishes is a genuine pole
+    (:class:`PoleError`).
     """
-    return f.eval(q0)
+    q0 = as_rational(q0)
+    num, den = f.num, f.den
+    while _peval(num, q0) == 0 and _peval(den, q0) == 0:
+        num, den = _deflate(num, q0), _deflate(den, q0)
+    return RatFuncQ(num, den)(q0)

@@ -17,14 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .exactnum import RationalLike, as_rational, binom
 
 __all__ = [
     "INF",
     "Valuation",
-    "PadicValue",
     "PadicParams",
     "vp",
     "riemann_sum_carlitz",
@@ -68,65 +67,18 @@ def vp(r: RationalLike, p: int) -> Valuation:
 
 
 @dataclass(frozen=True)
-class PadicValue:
-    """A rational seen p-adically: p^valuation * unit, unit taken mod p^M."""
-
-    p: int
-    valuation: Valuation
-    unit: Optional[int]
-    M: int
-
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        if self.M < 1:
-            raise ValueError(f"precision M must be >= 1, got {self.M}")
-        if self.valuation == INF:
-            if self.unit is not None:
-                raise ValueError("the zero value carries no unit")
-        else:
-            if not isinstance(self.valuation, int):
-                raise ValueError(f"finite valuation must be an integer, got {self.valuation!r}")
-            if self.unit is None or not 0 < self.unit < self.p**self.M or self.unit % self.p == 0:
-                raise ValueError("unit must be a residue mod p^M coprime to p")
-
-    @classmethod
-    def from_rational(cls, r: RationalLike, p: int, M: int = 12) -> "PadicValue":
-        r = as_rational(r)
-        p = _check_odd_prime(p)
-        if r == 0:
-            return cls(p, INF, None, M)
-        v = vp(r, p)
-        num, den = r.numerator, r.denominator
-        if v >= 0:
-            num //= p**v
-        else:
-            den //= p**(-v)
-        mod = p**M
-        unit = num * pow(den, -1, mod) % mod
-        return cls(p, v, unit, M)
-
-    def __repr__(self) -> str:
-        if self.valuation == INF:
-            return f"PadicValue(0; p={self.p}, M={self.M})"
-        return f"PadicValue({self.p}^{self.valuation} * {self.unit} mod {self.p}^{self.M})"
-
-
-@dataclass(frozen=True)
 class PadicParams:
     """Standing hypotheses: odd p, q within distance 1/p of 1, integral lam."""
 
     q: Fraction
     lam: Fraction = Fraction(0)
     p: int = 5
-    M: int = 12
     Nmax: int = 5
 
     def __post_init__(self):
         p = _check_odd_prime(self.p)
         q = as_rational(self.q)
         lam = as_rational(self.lam)
-        if self.M < 1:
-            raise ValueError(f"precision M must be >= 1, got {self.M}")
         if self.Nmax < 1:
             raise ValueError(f"Nmax must be >= 1, got {self.Nmax}")
         if q == 1:

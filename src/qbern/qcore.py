@@ -28,20 +28,16 @@ class InadmissibleArg(ValueError):
 
 @dataclass(frozen=True)
 class QContext:
-    """An evaluation point: q, a deformation parameter, and base exponent c.
+    """An evaluation point q and a base exponent c.
 
-    q must avoid {0, 1, -1} so that 1 - q^k != 0 for every k >= 1; the
-    deformation parameter ``lam`` is unconstrained here (modules that
-    need more impose their own conditions).
+    q must avoid {0, 1, -1} so that 1 - q^k != 0 for every k >= 1.
     """
 
     q: Fraction
-    lam: Fraction = Fraction(0)
     c: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_rational(self.q))
-        object.__setattr__(self, "lam", as_rational(self.lam))
         if self.q in (0, 1, -1):
             raise ValueError(f"q must avoid 0, 1, -1; got {self.q}")
         if not isinstance(self.c, int) or self.c < 1:
@@ -49,7 +45,7 @@ class QContext:
 
     def rebase(self, c: int) -> "QContext":
         """Same evaluation point with a different base exponent."""
-        return QContext(self.q, self.lam, c)
+        return QContext(self.q, c)
 
 
 def _int_exponent(y: Fraction, c: int) -> int:

@@ -9,19 +9,16 @@ from-imports, so a test can swap one out and watch the verdict flip.
 
 from __future__ import annotations
 
-import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import bernoulli, exactnum, padic, qcore, series, symmetry
 from .exactnum import RationalLike, as_rational, rat_str
 from .padic import INF, PadicParams, Valuation
 from .qcore import QContext
-from .symmetry import DEFAULT_PERMUTATION_CAP, SymmetryReport
+from .symmetry import DEFAULT_PERMUTATION_CAP
 
 __all__ = [
     "SuiteResult",
@@ -37,33 +34,7 @@ __all__ = [
     "ORACLE_FAMILIES",
 ]
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 ORACLE_FAMILIES = ("carlitz", "degenerate", "mu1")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QBERN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
-    """Apply fn to every item; results always in input order.
-
-    QBERN_THREADS > 1 fans the work out to a thread pool; assembly order
-    is still the submission order, so reports never depend on scheduling.
-    """
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- seeded rational sampling -------------------------------------------------
@@ -114,6 +85,11 @@ class SuiteResult:
     ok: bool
     csv_header: Tuple[str, ...]
     csv_rows: Tuple[Tuple[object, ...], ...]
+
+    def __post_init__(self):
+        # an empty sweep would pass on no evidence at all
+        if not self.items:
+            raise ValueError(f"{self.name}: the selection yields no checks")
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,11 +180,8 @@ def thm_suite(
                     for m in range(m_max + 1):
                         cells.append((wtuple, m, as_rational(x), lv, qv))
 
-    def run_cell(cell) -> SymmetryReport:
-        w, m, x, lam, q = cell
-        return symmetry.verify(kind, w, m, x=x, lam=lam, q=q, cap=cap)
-
-    reports = _ordered_map(run_cell, cells)
+    reports = [symmetry.verify(kind, w, m, x=x, lam=lam, q=q, cap=cap)
+               for w, m, x, lam, q in cells]
     ok = all(r.ok for r in reports)
     header = ("suite", "weights", "m_or_order", "x", "q", "lambda", "sigma", "value", "verdict")
     rows: List[Tuple[object, ...]] = []
@@ -309,6 +282,8 @@ def series_factor_suite(order: int = 12, samples: int = 20, seed: int = 0) -> Su
     sampled nonzero since both representations are singular at lam = 0
     (the lam -> 0 endpoint is covered by the collapse tests instead).
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
     rows: List[Tuple[object, ...]] = []
@@ -387,7 +362,6 @@ def oracle_report(
     q: Optional[RationalLike] = None,
     lam: RationalLike = 0,
     p: int = 5,
-    M: int = 12,
     nmax: int = 5,
 ) -> OracleReport:
     """Riemann sums at levels 1..nmax against the claimed limit.
@@ -395,12 +369,15 @@ def oracle_report(
     family 'carlitz' targets the plain q-polynomial, 'degenerate' the
     Stirling-transformed one, 'mu1' the uniform-measure value (log-form
     series for lam != 0, the classical polynomial at lam = 0, where the
-    series representation is singular).  q defaults to 1 + p.
+    series representation is singular).  q defaults to 1 + p.  Growth
+    needs at least two levels, so nmax must be >= 2.
     """
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"family must be one of {ORACLE_FAMILIES}, got {family!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if nmax < 2:
+        raise ValueError(f"nmax must be >= 2 to show valuation growth, got {nmax}")
     lam = as_rational(lam)
     x0 = as_rational(x0)
     if family == "mu1":
@@ -412,7 +389,7 @@ def oracle_report(
                   else bernoulli.classical_poly(n, x0))
     else:
         qv = as_rational(q) if q is not None else Fraction(1 + p)
-        params = PadicParams(q=qv, lam=lam, p=p, M=M, Nmax=nmax)
+        params = PadicParams(q=qv, lam=lam, p=p, Nmax=nmax)
         ctx = QContext(qv)
         if family == "carlitz":
             sums = [(N, padic.riemann_sum_carlitz(n, int(x0), params, N)) for N in range(1, nmax + 1)]

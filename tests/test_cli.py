@@ -1,13 +1,15 @@
 """Command-line behavior: values, exit codes, report formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbern.cli as cli
+import qbern.suites as suites
 import qbern.symmetry as symmetry
 from qbern.cli import main
 
@@ -99,6 +101,30 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "thm2", "--weights", "2,3", "--samples", "0"], "no checks"),
+        (["verify", "thm2", "--weights", "2,3", "--m-max", "-1"], "no checks"),
+        (["verify", "eq12", "--samples", "0"], "no checks"),
+        (["verify", "stirling-mu1", "--n", "-1"], "no checks"),
+        (["verify", "series-factor", "--order", "-1"], "order must be >= 0"),
+        (["oracle", "carlitz", "--nmax", "1"], "nmax must be >= 2"),
+    ])
+    def test_selection_without_evidence_is_usage_error(self, capsys, argv, message):
+        # a run that checks nothing must not report a pass
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qbern: error:")
+        assert message in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "verify", "eq12", "--samples", "3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qbern: error:")
+        assert not target.exists()
 
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         real = symmetry.thm2_expr
@@ -234,14 +260,35 @@ class TestOutputPlumbing:
         assert len(rows) == 6
 
 
-class TestRunConfig:
-    def test_from_namespace_round_trip(self):
-        parser = cli.build_parser()
-        ns = parser.parse_args([
-            "verify", "thm2", "--weights", "2,3", "--q", "5/3", "--seed", "9",
-        ])
-        cfg = cli.RunConfig.from_namespace(ns)
-        assert cfg.command == "verify"
-        assert cfg.weights == (2, 3)
-        assert cfg.q == Fraction(5, 3)
-        assert cfg.seed == 9
+_INTS = st.integers(min_value=-2, max_value=3).map(str)
+_RATIONALS = st.sampled_from(["0", "1", "-1", "2", "6", "1/2", "-3/2", "5/3"])
+_OPTIONS = {
+    "--n": _INTS, "--m": _INTS, "--m-max": _INTS, "--order": _INTS,
+    "--samples": _INTS, "--nmax": _INTS, "--i": _INTS, "--t": _INTS,
+    "--b": _INTS, "--c": _INTS, "--seed": _INTS,
+    "--p": st.sampled_from(["-1", "2", "3", "4", "5", "7"]),
+    "--x": _RATIONALS, "--q": _RATIONALS, "--lambda": _RATIONALS,
+    "--weights": st.sampled_from(["1", "2,3", "1,2,3", "2,2", "0", "x"]),
+    "--variant": st.sampled_from(["carlitz", "kim"]),
+    "--format": st.sampled_from(["text", "json", "csv"]),
+}
+_WHATS = {"compute": cli.COMPUTE_WHAT, "verify": cli.VERIFY_WHAT,
+          "oracle": suites.ORACLE_FAMILIES}
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from(sorted(_WHATS)))
+    argv = [command, draw(st.sampled_from(_WHATS[command]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), unique=True, max_size=6)):
+        argv.append(f"{flag}={draw(_OPTIONS[flag])}")   # "=" lets values start with "-"
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(small_argv())
+    def test_main_returns_a_documented_code(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)

@@ -1,9 +1,9 @@
-"""Exact rational helpers: binomials, Stirling numbers, rational functions."""
+"""Exact rational helpers: binomials, Stirling numbers, rational-function limits."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qbern import (
     PoleError,
@@ -102,6 +102,15 @@ class TestFalling:
             falling(3, -1)
 
 
+def _pmul(a, b):
+    """Coefficient product of two polynomials, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 class TestRatFuncQ:
     def test_limit_of_removable_singularity(self):
         f = RatFuncQ((1, 0, -1), (1, -1))  # (1 - q^2) / (1 - q)
@@ -117,24 +126,28 @@ class TestRatFuncQ:
         a = Fraction(1, 3)
         assert ratfunc_limit(f, a) == f(a)
 
-    def test_normalization_collapses_common_factor(self):
-        # (q^2 - 1)/(q - 1) and (q + 1)/1 are the same function
-        f = RatFuncQ((-1, 0, 1), (-1, 1))
-        g = RatFuncQ((1, 1), (1,))
-        assert f == g
-
     @given(rationals)
     def test_evaluation_commutes_with_product(self, a):
         f = RatFuncQ((1, -2), (1, 0, 3))
         g = RatFuncQ((0, 1, 1), (2, 5))
-        h = f * g
+        h = RatFuncQ(_pmul(f.num, g.num), _pmul(f.den, g.den))
         assert h(a) == f(a) * g(a)
 
-    @given(rationals)
-    def test_evaluation_commutes_with_sum(self, a):
-        f = RatFuncQ((1, 1), (1, 0, 1))
-        g = RatFuncQ((3,), (1, 2))
-        assert (f + g)(a) == f(a) + g(a)
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_limit_cancels_common_root(self, a, b, q0, k):
+        # a (q - q0)^k / b (q - q0)^k tends to a(q0) / b(q0)
+        b_at = RatFuncQ(b)(q0)
+        assume(b_at != 0)
+        root = (1,)
+        for _ in range(k):
+            root = _pmul(root, (-q0, 1))
+        f = RatFuncQ(_pmul(a, root), _pmul(b, root))
+        assert ratfunc_limit(f, q0) == RatFuncQ(a)(q0) / b_at
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

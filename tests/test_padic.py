@@ -1,4 +1,4 @@
-"""p-adic valuations, truncated values, and Riemann-sum convergence checks."""
+"""p-adic valuations and Riemann-sum convergence checks."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qbern import (
     INF,
     PadicParams,
-    PadicValue,
     QContext,
     carlitz_poly,
     convergence_report,
@@ -50,55 +49,9 @@ class TestValuation:
         assert vp(a + b, 7) >= min(vp(a, 7), vp(b, 7))
 
 
-class TestPadicValue:
-    def test_zero(self):
-        z = PadicValue.from_rational(0, 5)
-        assert z.valuation == INF
-        assert z.unit is None
-
-    def test_from_rational_strips_powers(self):
-        v = PadicValue.from_rational(50, 5, M=4)
-        assert v.valuation == 2
-        assert v.unit == 2
-
-    def test_negative_valuation(self):
-        v = PadicValue.from_rational(Fraction(3, 25), 5, M=3)
-        assert v.valuation == -2
-        assert v.unit == 3
-
-    def test_unit_is_modular_inverse(self):
-        # 1/3 mod 5^2: 3 * 17 = 51 = 2*25 + 1
-        v = PadicValue.from_rational(Fraction(1, 3), 5, M=2)
-        assert v.valuation == 0
-        assert v.unit * 3 % 25 == 1
-
-    @pytest.mark.parametrize(
-        "r", [Fraction(50), Fraction(-7, 10), Fraction(1, 3), Fraction(123, 49)]
-    )
-    def test_reconstruction_invariant(self, r):
-        p, M = 7, 6
-        v = PadicValue.from_rational(r, p, M)
-        assert v.valuation == vp(r, p)
-        # unit recovers r / p^v modulo p^M
-        residue = r / Fraction(p) ** v.valuation - v.unit
-        assert vp(residue, p) >= M
-
-    def test_rejects_unit_divisible_by_p(self):
-        with pytest.raises(ValueError):
-            PadicValue(5, 0, 10, 3)
-
-    def test_rejects_unit_on_zero(self):
-        with pytest.raises(ValueError):
-            PadicValue(5, INF, 1, 3)
-
-    def test_rejects_bad_precision(self):
-        with pytest.raises(ValueError):
-            PadicValue(5, 0, 1, 0)
-
-
 class TestPadicParams:
     def test_defaults(self):
-        assert (P5.p, P5.M, P5.Nmax, P5.lam) == (5, 12, 5, 0)
+        assert (P5.p, P5.Nmax, P5.lam) == (5, 5, 0)
 
     def test_rejects_even_prime(self):
         with pytest.raises(ValueError):

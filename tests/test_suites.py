@@ -146,23 +146,13 @@ class TestOracleReport:
         assert doc["rows"][0].keys() == {"N", "valuation"}
         assert doc["monotone"] is True
 
+    @pytest.mark.parametrize("nmax", [1, 0, -1])
+    def test_needs_two_levels(self, nmax):
+        # one row cannot show growth, so it must not be reported as monotone
+        with pytest.raises(ValueError, match="nmax"):
+            oracle_report("carlitz", n=1, x0=0, p=5, nmax=nmax)
+
     def test_csv_rows_per_level(self):
         rep = oracle_report("mu1", n=1, x0=0, p=5, nmax=3)
         assert len(rep.csv_rows) == 3
         assert rep.csv_header[-1] == "monotone"
-
-
-class TestThreading:
-    def test_fanout_matches_serial(self, monkeypatch):
-        serial = thm_suite("thm2", [(2, 3)], m_max=2, xs=(0, 1), samples=2, seed=9)
-        monkeypatch.setenv("QBERN_THREADS", "4")
-        parallel = thm_suite("thm2", [(2, 3)], m_max=2, xs=(0, 1), samples=2, seed=9)
-        assert serial.items == parallel.items
-        assert serial.csv_rows == parallel.csv_rows
-
-    def test_garbage_thread_count_falls_back_to_serial(self, monkeypatch):
-        # a malformed env var must not break a run
-        for bad in ("0", "-3", "many"):
-            monkeypatch.setenv("QBERN_THREADS", bad)
-            res = thm_suite("thm2", [(1, 2)], m_max=0, xs=(0,), samples=1, seed=0)
-            assert res.ok
