@@ -15,15 +15,16 @@ and the fully degenerate version is their Stirling transform
     b_{n,L}(y) = sum_l stirling1(n,l) L^{n-l} b_l(y),
 
 which at L = 0 collapses to b_n(y) (0**0 == 1).  Number tables are
-memoized per (q, c) because symmetry verification reuses the same bases
-thousands of times.
+memoized per (q, c), up to CARLITZ_CACHE_TABLES of them, because symmetry
+verification reuses the same bases thousands of times.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling1
 from .qcore import InadmissibleArg, QContext, qnum
@@ -39,14 +40,25 @@ __all__ = [
 ]
 
 
-_carlitz_cache: Dict[Tuple[Fraction, int], List[Fraction]] = {}
+# Number tables kept, least recently used evicted first, so a sweep over
+# many sampled bases stays bounded in memory (`verify thm2 --weights 2,3
+# --samples 300` asks for 196 tables).
+CARLITZ_CACHE_TABLES = 256
+
+_carlitz_cache: "OrderedDict[Tuple[Fraction, int], List[Fraction]]" = OrderedDict()
 _cache_lock = threading.Lock()
 
 
 def _carlitz_values(nmax: int, ctx: QContext) -> List[Fraction]:
     key = (ctx.q, ctx.c)
     with _cache_lock:
-        table = _carlitz_cache.setdefault(key, [Fraction(1)])
+        table = _carlitz_cache.get(key)
+        if table is None:
+            table = _carlitz_cache[key] = [Fraction(1)]
+            if len(_carlitz_cache) > CARLITZ_CACHE_TABLES:
+                _carlitz_cache.popitem(last=False)
+        else:
+            _carlitz_cache.move_to_end(key)
         if len(table) <= nmax:
             Q = ctx.q ** ctx.c
             qpow = [Q ** l for l in range(nmax + 2)]

@@ -1,8 +1,9 @@
 """Command-line front end: compute values, run suites, run oracles.
 
 Exit status: 0 when everything asked for passed (or a value was printed),
-1 when a verification suite or oracle found a mismatch, 2 on usage errors,
-on a selection that yields no checks, and when --out cannot be written.
+1 when a verification suite or oracle found a mismatch, 2 on usage errors
+(a flag the chosen subcommand does not use is one), on a selection that
+yields no checks, and when --out cannot be written.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
 byte-stable for a fixed config and seed), or CSV flattened one row per
 item.
@@ -64,16 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weights", type=_weights_arg, help="comma-separated positive integers")
     g.add_argument("--q", type=_fraction_arg, help="base, as num/den")
     g.add_argument("--lambda", dest="lam", type=_fraction_arg, help="deformation, as num/den")
-    g.add_argument("--p", type=int, default=5, help="odd prime for oracles (default 5)")
-    g.add_argument("--nmax", type=int, default=5, help="largest Riemann level N")
+    g.add_argument("--p", type=int, help="odd prime for oracles (default 5)")
+    g.add_argument("--nmax", type=int, help="largest Riemann level N (default 5)")
     g.add_argument("--order", type=int, help="series truncation order")
     g.add_argument("--samples", type=int, help="number of seeded sample points")
-    g.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    g.add_argument("--seed", type=int, help="sampling seed (default 0)")
     g.add_argument("--i", type=int, help="kernel bracket power")
     g.add_argument("--t", type=int, help="kernel exponent shift")
-    g.add_argument("--b", type=int, default=1, help="kernel base exponent (default 1)")
-    g.add_argument("--c", type=int, default=1, help="base exponent: values taken at q^c (default 1)")
-    g.add_argument("--variant", choices=("carlitz", "kim"), default="kim",
+    g.add_argument("--b", type=int, help="kernel base exponent (default 1)")
+    g.add_argument("--c", type=int, help="base exponent: values taken at q^c (default 1)")
+    g.add_argument("--variant", choices=("carlitz", "kim"),
                    help="series family for `compute series` (default kim)")
     out = common.add_argument_group("output")
     out.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
@@ -87,6 +88,47 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle", parents=[common], help="p-adic convergence report")
     po.add_argument("what", choices=suites.ORACLE_FAMILIES, metavar="family")
     return parser
+
+
+# The parameter flags, by argparse dest, that each (command, what) reads.
+# Any other parameter given is a usage error rather than a silent no-op.
+_SYMMETRY_READS = ("weights", "x", "q", "lam", "samples", "seed")
+_READS: Dict[Tuple[str, str], Tuple[str, ...]] = {
+    ("compute", "stirling"): ("n", "m"),
+    ("compute", "qbern"): ("n", "q", "c"),
+    ("compute", "qpoly"): ("n", "x", "q", "c"),
+    ("compute", "degenerate"): ("n", "x", "lam", "q", "c"),
+    ("compute", "kernel"): ("weights", "i", "t", "q", "b"),
+    ("compute", "classical"): ("n", "x"),
+    ("compute", "series"): ("n", "x", "lam", "variant", "order"),
+    ("verify", "thm1"): _SYMMETRY_READS + ("order",),
+    **{("verify", what): _SYMMETRY_READS + ("m_max", "m") for what in ("thm2", "thm3", "eq20")},
+    ("verify", "eq12"): ("samples", "seed"),
+    ("verify", "eq16"): ("samples", "seed"),
+    ("verify", "series-factor"): ("order", "samples", "seed"),
+    ("verify", "stirling-mu1"): ("n", "samples", "seed"),
+    **{("oracle", family): ("n", "x", "q", "lam", "p", "nmax") for family in suites.ORACLE_FAMILIES},
+}
+_OUTPUT_DESTS = ("command", "what", "fmt", "out")
+# Defaults of the shared flags, filled in only after the check above, so
+# that a flag given at its default value still counts as given.
+_DEFAULTS = {"p": 5, "nmax": 5, "seed": 0, "b": 1, "c": 1, "variant": "kim"}
+
+
+def _flag(dest: str) -> str:
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
+def _check_flags(ns: argparse.Namespace) -> None:
+    """Reject parameters the selected subcommand would ignore, then fill defaults."""
+    reads = _READS[(ns.command, ns.what)]
+    unused = [_flag(dest) for dest, value in vars(ns).items()
+              if value is not None and dest not in _OUTPUT_DESTS and dest not in reads]
+    if unused:
+        raise UsageError(f"`{ns.command} {ns.what}` does not use {', '.join(unused)}")
+    for dest, default in _DEFAULTS.items():
+        if getattr(ns, dest) is None:
+            setattr(ns, dest, default)
 
 
 def _need(**named) -> None:
@@ -152,6 +194,12 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
     what = cfg.what
     if what in ("thm1", "thm2", "thm3", "eq20"):
         _need(weights=cfg.weights)
+        if cfg.q is not None and cfg.samples is not None:
+            raise UsageError("--q pins the single (q, lambda) point; --samples would draw them")
+        if cfg.q is None and cfg.lam is not None:
+            raise UsageError("--lambda pins a point only together with --q")
+        if cfg.m is not None and cfg.m_max is not None:
+            raise UsageError("--m and --m-max both set the top degree; give one")
         xs: Sequence = (cfg.x,) if cfg.x is not None else (0, 1, 2)
         points = None
         if cfg.q is not None:
@@ -223,6 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
+        _check_flags(ns)
         if ns.command == "compute":
             doc = _run_compute(ns)
         elif ns.command == "verify":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -39,6 +40,12 @@ __all__ = [
 ]
 
 DEFAULT_PERMUTATION_CAP = 6           # n! enumeration stays trivial up to here
+
+# Box sums kept by kernel_K.  A thm3 sweep over degrees, x and sigma asks
+# for the same (head, i, t, q, b) again and again: the seven n <= 3
+# acceptance fixtures at degrees 0..6 and two bases need 1176 distinct sums
+# for 11,700 calls, which this holds without evicting.
+KERNEL_CACHE_SIZE = 4096
 
 VERIFY_KINDS = ("thm1", "thm2", "thm3", "eq20")
 
@@ -125,7 +132,9 @@ def kernel_K(
     Each point k contributes q^{b(t+1)S} * [S]_{q^b}^i with
     S = sum_j (prod_{l != j} u_l) k_j.  The empty box (no u at all) has
     the single point k = (), so the value is 1 when i = 0 and 0 otherwise
-    (0^0 = 1 throughout).
+    (0^0 = 1 throughout).  Every call checks its arguments; the sum itself
+    is memoized on the exact head tuple, never on a sorted one, so each
+    permutation's box is evaluated on its own.
     """
     q = as_rational(q)
     if q in (0, 1, -1):
@@ -138,6 +147,11 @@ def kernel_K(
     u = tuple(int(x) for x in u)
     if any(x < 1 for x in u):
         raise ValueError(f"box weights must be positive integers, got {u}")
+    return _kernel_box_sum(u, i, t, q, b)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel_box_sum(u: Tuple[int, ...], i: int, t: int, q: Fraction, b: int) -> Fraction:
     U = prod(u)
     P = tuple(U // x for x in u)
     qb = q**b

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qbern.bernoulli as bernoulli
 from qbern import (
     InadmissibleArg,
     QContext,
@@ -77,6 +78,16 @@ class TestCarlitzNumbers:
         a = carlitz_numbers(4, QContext(Fraction(2), c=2))
         b = carlitz_numbers(4, QContext(Fraction(4)))
         assert a == b
+
+    def test_table_cache_is_bounded(self):
+        bound = bernoulli.CARLITZ_CACHE_TABLES
+        first = QContext(Fraction(1, bound + 50))
+        expected = carlitz_numbers(4, first)
+        for k in range(2, bound + 50):               # pushes `first` out
+            carlitz_numbers(2, QContext(Fraction(k)))
+            assert len(bernoulli._carlitz_cache) <= bound
+        assert (first.q, first.c) not in bernoulli._carlitz_cache
+        assert carlitz_numbers(4, first) == expected
 
 
 class TestCarlitzPolynomials:

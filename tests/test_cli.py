@@ -4,10 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qbern
 import qbern.cli as cli
 import qbern.suites as suites
 import qbern.symmetry as symmetry
@@ -109,6 +113,8 @@ class TestExitCodes:
         (["verify", "stirling-mu1", "--n", "-1"], "no checks"),
         (["verify", "series-factor", "--order", "-1"], "order must be >= 0"),
         (["oracle", "carlitz", "--nmax", "1"], "nmax must be >= 2"),
+        (["verify", "thm2", "--weights", "2,3", "--q", "3", "--samples", "0", "--m-max", "0"],
+         "--q pins"),
     ])
     def test_selection_without_evidence_is_usage_error(self, capsys, argv, message):
         # a run that checks nothing must not report a pass
@@ -117,6 +123,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qbern: error:")
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "eq12", "--samples", "2", "--p", "4", "--c", "0", "--variant", "carlitz"],
+         "`verify eq12` does not use --p, --c, --variant"),
+        (["compute", "stirling", "--n", "4", "--m", "2", "--q", "2"], "does not use --q"),
+        (["verify", "thm1", "--weights", "1,2", "--m-max", "2"], "does not use --m-max"),
+        (["oracle", "carlitz", "--n", "1", "--samples", "3"], "does not use --samples"),
+        (["compute", "qbern", "--n", "2", "--q", "2", "--seed", "0"], "does not use --seed"),
+        (["verify", "thm2", "--weights", "2,3", "--lambda", "1"], "--lambda pins a point only"),
+        (["verify", "eq20", "--weights", "2,3", "--m", "1", "--m-max", "1"], "--m and --m-max"),
+    ])
+    def test_flag_without_effect_is_usage_error(self, capsys, argv, message):
+        # a flag the run would ignore must not pass silently
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qbern: error:")
+        assert message in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(qbern.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qbern"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "usage: qbern" in proc.stderr
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

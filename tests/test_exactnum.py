@@ -1,6 +1,7 @@
 """Exact rational helpers: binomials, Stirling numbers, rational-function limits."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -59,6 +60,13 @@ class TestBinom:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             binom(5, -1)
+
+    def test_integer_path_is_the_falling_factorial(self):
+        for e in range(-20, 21):
+            for k in range(16):
+                value = binom(e, k)
+                assert isinstance(value, Fraction)
+                assert value == prod((Fraction(e - j) for j in range(k)), start=Fraction(1)) / factorial(k)
 
     @given(rationals, st.integers(min_value=1, max_value=12))
     def test_pascal_rule(self, x, k):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbern.symmetry as symmetry
 from qbern import (
@@ -94,6 +95,52 @@ class TestKernel:
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):
             kernel_K((2, 0), 0, 0, Fraction(2))
+
+    @staticmethod
+    def _brute_force(u, i, t, q, b):
+        # every box point, the bracket summed term by term
+        U = prod(u)
+        qb = q**b
+        total = Fraction(0)
+        for k in itertools.product(*(range(x) for x in u)):
+            S = sum(U // x * kx for x, kx in zip(u, k))
+            bracket = sum((qb**j for j in range(S)), Fraction(0))
+            total += qb ** ((t + 1) * S) * bracket**i
+        return total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(tuple),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_brute_force_box_sum(self, u, i, t, q, b):
+        expected = self._brute_force(u, i, t, q, b)
+        assert kernel_K(u, i, t, q, b) == expected
+        assert kernel_K(u, i, t, q, b) == expected      # answered from the memo
+
+    def test_permuted_head_is_its_own_box(self):
+        # the memo keys on the head as given: each permutation is summed once
+        q = Fraction(1013, 7)                        # a base no other test uses
+        misses = symmetry._kernel_box_sum.cache_info().misses
+        for u in itertools.permutations((1, 2, 3)):
+            assert kernel_K(u, 2, 1, q) == self._brute_force(u, 2, 1, q, 1)
+            assert kernel_K(u, 2, 1, q) == self._brute_force(u, 2, 1, q, 1)
+        assert symmetry._kernel_box_sum.cache_info().misses - misses == 6
+
+    def test_bad_arguments_raise_after_caching(self):
+        assert kernel_K((2, 3), 1, 0, Fraction(3)) == self._brute_force((2, 3), 1, 0, Fraction(3), 1)
+        for q in (Fraction(0), Fraction(1), Fraction(-1)):
+            with pytest.raises(ValueError):
+                kernel_K((2, 3), 1, 0, q)
+        for bad in [((2, 0), 1, 0, 3, 1), ((2, 3), -1, 0, 3, 1),
+                    ((2, 3), 1, -1, 3, 1), ((2, 3), 1, 0, 3, 0)]:
+            u, i, t, q, b = bad
+            with pytest.raises(ValueError):
+                kernel_K(u, i, t, Fraction(q), b)
 
 
 class TestClosedFormExpression:
