@@ -3,7 +3,9 @@
 Exit status: 0 when everything asked for passed (or a value was printed),
 1 when a verification suite or oracle found a mismatch, 2 on usage errors
 (a flag the chosen subcommand does not use is one), on a selection that
-yields no checks, and when --out cannot be written.
+yields no checks, and when --out cannot be written.  On the symmetry grids
+(thm1, thm2, thm3, eq20) --q pins one (q, lambda) point, so --samples or
+--seed together with --q, and --lambda without --q, are usage errors.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
 byte-stable for a fixed config and seed), or CSV flattened one row per
 item.
@@ -90,29 +92,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parameter flags, by argparse dest, that each (command, what) reads.
+# Each (command, what) maps the parameter flags it reads, by argparse dest,
+# to its default: REQUIRED must be given, None is optional with no default.
 # Any other parameter given is a usage error rather than a silent no-op.
-_SYMMETRY_READS = ("weights", "x", "q", "lam", "samples", "seed")
-_READS: Dict[Tuple[str, str], Tuple[str, ...]] = {
-    ("compute", "stirling"): ("n", "m"),
-    ("compute", "qbern"): ("n", "q", "c"),
-    ("compute", "qpoly"): ("n", "x", "q", "c"),
-    ("compute", "degenerate"): ("n", "x", "lam", "q", "c"),
-    ("compute", "kernel"): ("weights", "i", "t", "q", "b"),
-    ("compute", "classical"): ("n", "x"),
-    ("compute", "series"): ("n", "x", "lam", "variant", "order"),
-    ("verify", "thm1"): _SYMMETRY_READS + ("order",),
-    **{("verify", what): _SYMMETRY_READS + ("m_max", "m") for what in ("thm2", "thm3", "eq20")},
-    ("verify", "eq12"): ("samples", "seed"),
-    ("verify", "eq16"): ("samples", "seed"),
-    ("verify", "series-factor"): ("order", "samples", "seed"),
-    ("verify", "stirling-mu1"): ("n", "samples", "seed"),
-    **{("oracle", family): ("n", "x", "q", "lam", "p", "nmax") for family in suites.ORACLE_FAMILIES},
+REQUIRED = object()
+_GRID = {"weights": REQUIRED, "x": None, "q": None, "lam": Fraction(0), "samples": 5, "seed": 0}
+_READS: Dict[Tuple[str, str], Dict[str, object]] = {
+    ("compute", "stirling"): {"n": REQUIRED, "m": REQUIRED},
+    ("compute", "qbern"): {"n": REQUIRED, "q": REQUIRED, "c": 1},
+    ("compute", "qpoly"): {"n": REQUIRED, "x": REQUIRED, "q": REQUIRED, "c": 1},
+    ("compute", "degenerate"): {"n": REQUIRED, "x": REQUIRED, "lam": REQUIRED, "q": REQUIRED,
+                                "c": 1},
+    ("compute", "kernel"): {"weights": REQUIRED, "i": REQUIRED, "t": REQUIRED, "q": REQUIRED,
+                            "b": 1},
+    ("compute", "classical"): {"n": REQUIRED, "x": None},
+    ("compute", "series"): {"n": REQUIRED, "x": REQUIRED, "lam": REQUIRED, "variant": "kim",
+                            "order": None},
+    ("verify", "thm1"): dict(_GRID, order=3),
+    **{("verify", what): dict(_GRID, m_max=3) for what in ("thm2", "thm3", "eq20")},
+    ("verify", "eq12"): {"samples": 200, "seed": 0},
+    ("verify", "eq16"): {"samples": 200, "seed": 0},
+    ("verify", "series-factor"): {"order": 12, "samples": 20, "seed": 0},
+    ("verify", "stirling-mu1"): {"n": 8, "samples": 12, "seed": 0},
+    **{("oracle", family): {"n": 2, "x": Fraction(0), "q": None, "lam": Fraction(0),
+                            "p": 5, "nmax": 5} for family in suites.ORACLE_FAMILIES},
 }
 _OUTPUT_DESTS = ("command", "what", "fmt", "out")
-# Defaults of the shared flags, filled in only after the check above, so
-# that a flag given at its default value still counts as given.
-_DEFAULTS = {"p": 5, "nmax": 5, "seed": 0, "b": 1, "c": 1, "variant": "kim"}
 
 
 def _flag(dest: str) -> str:
@@ -120,68 +125,59 @@ def _flag(dest: str) -> str:
 
 
 def _check_flags(ns: argparse.Namespace) -> None:
-    """Reject parameters the selected subcommand would ignore, then fill defaults."""
+    """Reject flags the subcommand ignores or lacks, then fill in its defaults."""
     reads = _READS[(ns.command, ns.what)]
-    unused = [_flag(dest) for dest, value in vars(ns).items()
-              if value is not None and dest not in _OUTPUT_DESTS and dest not in reads]
+    # decided before the defaults go in, so that a flag given at its default still counts
+    given = [dest for dest, value in vars(ns).items()
+             if value is not None and dest not in _OUTPUT_DESTS]
+    unused = [_flag(dest) for dest in given if dest not in reads]
     if unused:
         raise UsageError(f"`{ns.command} {ns.what}` does not use {', '.join(unused)}")
-    for dest, default in _DEFAULTS.items():
-        if getattr(ns, dest) is None:
+    for dest, default in reads.items():
+        if default is REQUIRED and dest not in given:
+            raise UsageError(f"{_flag(dest)} is required for this subcommand")
+    if reads.keys() >= _GRID.keys():  # the symmetry grids
+        drawn = [_flag(dest) for dest in ("samples", "seed") if dest in given]
+        if "q" in given and drawn:
+            raise UsageError(f"--q pins the single (q, lambda) point; {drawn[0]} would draw them")
+        if "lam" in given and "q" not in given:
+            raise UsageError("--lambda pins a point only together with --q")
+    for dest, default in reads.items():
+        if dest not in given:
             setattr(ns, dest, default)
-
-
-def _need(**named) -> None:
-    for name, value in named.items():
-        if value is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required for this subcommand")
 
 
 Document = Tuple[dict, Tuple[str, ...], Tuple[Tuple[object, ...], ...], List[str], bool]
 # (json_dict, csv_header, csv_rows, text_lines, failed)
 
 
+def _param(value: object) -> object:
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
 def _run_compute(cfg: argparse.Namespace) -> Document:
     what = cfg.what
-    params: Dict[str, object] = {}
+    params = {"lambda" if dest == "lam" else dest: _param(getattr(cfg, dest))
+              for dest in _READS[("compute", what)] if getattr(cfg, dest) is not None}
     if what == "stirling":
-        _need(n=cfg.n, m=cfg.m)
-        params = {"n": cfg.n, "m": cfg.m}
         rendered = str(exactnum.stirling1(cfg.n, cfg.m))
     elif what == "qbern":
-        _need(n=cfg.n, q=cfg.q)
-        params = {"n": cfg.n, "q": rat_str(cfg.q), "c": cfg.c}
-        table = bernoulli.carlitz_numbers(cfg.n, QContext(cfg.q, c=cfg.c))
-        rendered = rat_str(table[cfg.n])
+        rendered = rat_str(bernoulli.carlitz_numbers(cfg.n, QContext(cfg.q, c=cfg.c))[cfg.n])
     elif what == "qpoly":
-        _need(n=cfg.n, x=cfg.x, q=cfg.q)
-        params = {"n": cfg.n, "x": rat_str(cfg.x), "q": rat_str(cfg.q), "c": cfg.c}
         rendered = rat_str(bernoulli.carlitz_poly(cfg.n, cfg.x, QContext(cfg.q, c=cfg.c)))
     elif what == "degenerate":
-        _need(n=cfg.n, x=cfg.x, **{"lambda": cfg.lam}, q=cfg.q)
-        params = {"n": cfg.n, "x": rat_str(cfg.x), "lambda": rat_str(cfg.lam),
-                  "q": rat_str(cfg.q), "c": cfg.c}
         rendered = rat_str(bernoulli.degenerate_qpoly(cfg.n, cfg.x, cfg.lam, QContext(cfg.q, c=cfg.c)))
     elif what == "kernel":
-        _need(weights=cfg.weights, i=cfg.i, t=cfg.t, q=cfg.q)
-        params = {"weights": ",".join(map(str, cfg.weights)), "i": cfg.i, "t": cfg.t,
-                  "q": rat_str(cfg.q), "b": cfg.b}
         rendered = rat_str(symmetry.kernel_K(cfg.weights, cfg.i, cfg.t, cfg.q, cfg.b))
     elif what == "classical":
-        _need(n=cfg.n)
-        if cfg.x is not None:
-            params = {"n": cfg.n, "x": rat_str(cfg.x)}
-            rendered = rat_str(bernoulli.classical_poly(cfg.n, cfg.x))
-        else:
-            params = {"n": cfg.n}
+        if cfg.x is None:
             rendered = rat_str(bernoulli.classical_numbers(cfg.n)[cfg.n])
+        else:
+            rendered = rat_str(bernoulli.classical_poly(cfg.n, cfg.x))
     else:  # series
-        _need(n=cfg.n, x=cfg.x, **{"lambda": cfg.lam})
         fn = series.kim_degenerate if cfg.variant == "kim" else series.carlitz_degenerate
-        params = {"n": cfg.n, "x": rat_str(cfg.x), "lambda": rat_str(cfg.lam),
-                  "variant": cfg.variant}
-        if cfg.order is not None:
-            params["order"] = cfg.order
         rendered = rat_str(fn(cfg.n, cfg.x, cfg.lam, cfg.order))
 
     json_dict = {"command": "compute", "what": what, "params": params, "value": rendered}
@@ -192,35 +188,17 @@ def _run_compute(cfg: argparse.Namespace) -> Document:
 
 def _run_verify(cfg: argparse.Namespace) -> Document:
     what = cfg.what
-    if what in ("thm1", "thm2", "thm3", "eq20"):
-        _need(weights=cfg.weights)
-        if cfg.q is not None and cfg.samples is not None:
-            raise UsageError("--q pins the single (q, lambda) point; --samples would draw them")
-        if cfg.q is None and cfg.lam is not None:
-            raise UsageError("--lambda pins a point only together with --q")
-        if cfg.m is not None and cfg.m_max is not None:
-            raise UsageError("--m and --m-max both set the top degree; give one")
-        xs: Sequence = (cfg.x,) if cfg.x is not None else (0, 1, 2)
-        points = None
-        if cfg.q is not None:
-            points = [(cfg.q, cfg.lam if cfg.lam is not None else Fraction(0))]
-        samples = cfg.samples if cfg.samples is not None else 5
-        if what == "thm1":
-            order = cfg.order if cfg.order is not None else 3
-            suite = suites.thm_suite("thm1", [cfg.weights], order, xs=xs,
-                                     samples=samples, seed=cfg.seed, points=points)
-        else:
-            m_max = cfg.m_max if cfg.m_max is not None else (cfg.m if cfg.m is not None else 3)
-            suite = suites.thm_suite(what, [cfg.weights], m_max, xs=xs,
-                                     samples=samples, seed=cfg.seed, points=points)
-    elif what in ("eq12", "eq16"):
-        suite = suites.qlemma_suite(what, cfg.samples if cfg.samples is not None else 200, cfg.seed)
+    if what in ("eq12", "eq16"):
+        suite = suites.qlemma_suite(what, cfg.samples, cfg.seed)
     elif what == "series-factor":
-        suite = suites.series_factor_suite(cfg.order if cfg.order is not None else 12,
-                                           cfg.samples if cfg.samples is not None else 20, cfg.seed)
-    else:  # stirling-mu1
-        suite = suites.stirling_mu1_suite(cfg.n if cfg.n is not None else 8,
-                                          cfg.samples if cfg.samples is not None else 12, cfg.seed)
+        suite = suites.series_factor_suite(cfg.order, cfg.samples, cfg.seed)
+    elif what == "stirling-mu1":
+        suite = suites.stirling_mu1_suite(cfg.n, cfg.samples, cfg.seed)
+    else:  # the symmetry grids: thm1 takes a series order, the others a top degree
+        suite = suites.thm_suite(what, [cfg.weights], cfg.order if what == "thm1" else cfg.m_max,
+                                 xs=(0, 1, 2) if cfg.x is None else (cfg.x,),
+                                 samples=cfg.samples, seed=cfg.seed,
+                                 points=None if cfg.q is None else [(cfg.q, cfg.lam)])
 
     lines = [f"{suite.name}: {len(suite.items)} checks"]
     shown = 0
@@ -235,10 +213,7 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
 
 
 def _run_oracle(cfg: argparse.Namespace) -> Document:
-    n = cfg.n if cfg.n is not None else 2
-    x0 = cfg.x if cfg.x is not None else Fraction(0)
-    lam = cfg.lam if cfg.lam is not None else Fraction(0)
-    rep = suites.oracle_report(cfg.what, n, x0=x0, q=cfg.q, lam=lam,
+    rep = suites.oracle_report(cfg.what, cfg.n, x0=cfg.x, q=cfg.q, lam=cfg.lam,
                                p=cfg.p, nmax=cfg.nmax)
     lines = [
         f"oracle {rep.family}: p={rep.p} q={rat_str(rep.q)} lambda={rat_str(rep.lam)} "

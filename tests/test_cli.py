@@ -1,10 +1,14 @@
 """Command-line behavior: values, exit codes, report formats, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -115,6 +119,8 @@ class TestExitCodes:
         (["oracle", "carlitz", "--nmax", "1"], "nmax must be >= 2"),
         (["verify", "thm2", "--weights", "2,3", "--q", "3", "--samples", "0", "--m-max", "0"],
          "--q pins"),
+        (["verify", "thm2", "--weights", "2,3", "--q", "3", "--m-max", "1", "--seed", "5"],
+         "--q pins the single (q, lambda) point; --seed would draw them"),
     ])
     def test_selection_without_evidence_is_usage_error(self, capsys, argv, message):
         # a run that checks nothing must not report a pass
@@ -132,7 +138,7 @@ class TestExitCodes:
         (["oracle", "carlitz", "--n", "1", "--samples", "3"], "does not use --samples"),
         (["compute", "qbern", "--n", "2", "--q", "2", "--seed", "0"], "does not use --seed"),
         (["verify", "thm2", "--weights", "2,3", "--lambda", "1"], "--lambda pins a point only"),
-        (["verify", "eq20", "--weights", "2,3", "--m", "1", "--m-max", "1"], "--m and --m-max"),
+        (["verify", "eq20", "--weights", "2,3", "--m", "1", "--m-max", "1"], "does not use --m"),
     ])
     def test_flag_without_effect_is_usage_error(self, capsys, argv, message):
         # a flag the run would ignore must not pass silently
@@ -291,6 +297,67 @@ class TestOutputPlumbing:
             ("family", "p", "q", "lambda", "n", "x0", "N", "valuation", "monotone")
         )
         assert len(rows) == 6
+
+
+def _parser_dests():
+    """{(command, what): set of dests} for every pair build_parser accepts."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    pairs = {}
+    for command, sub in commands.choices.items():
+        what = next(a for a in sub._actions if a.dest == "what")
+        pairs.update({(command, choice): {a.dest for a in sub._actions} for choice in what.choices})
+    return pairs
+
+
+_VALID = {"n": "2", "m": "1", "x": "0", "q": "2", "lam": "1", "weights": "2", "i": "1", "t": "0"}
+
+
+class TestFlagTable:
+    def test_table_covers_exactly_the_parser(self):
+        pairs = _parser_dests()
+        assert set(cli._READS) == set(pairs)
+        for key, reads in cli._READS.items():
+            assert set(reads) <= pairs[key], key
+
+    @pytest.mark.parametrize("key, dest", [
+        pytest.param(key, dest, id=f"{' '.join(key)} {cli._flag(dest)}")
+        for key, reads in cli._READS.items()
+        for dest, default in reads.items() if default is cli.REQUIRED
+    ])
+    def test_each_required_flag_is_required(self, capsys, key, dest):
+        argv = list(key)
+        for other, default in cli._READS[key].items():
+            if default is cli.REQUIRED and other != dest:
+                argv += [cli._flag(other), _VALID[other]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{cli._flag(dest)} is required" in err
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ qbern ...` line in README's sh blocks."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *shown = chunk.splitlines()
+            if command.startswith("qbern "):
+                expected = "".join(line + "\n" for line in shown)
+                examples.append(pytest.param(shlex.split(command)[1:], expected, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", _readme_examples())
+def test_readme_example(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_readme_has_examples():
+    assert len(_readme_examples()) >= 6
 
 
 _INTS = st.integers(min_value=-2, max_value=3).map(str)
