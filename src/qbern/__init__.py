@@ -10,7 +10,6 @@ q -> 1 rational-function limit), and seeded suites behind the `qbern` CLI.
 from .exactnum import (
     PoleError,
     RatFuncQ,
-    Rational,
     RationalLike,
     as_rational,
     binom,
@@ -76,7 +75,7 @@ from .suites import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PoleError", "RatFuncQ", "Rational", "RationalLike", "as_rational", "binom",
+    "PoleError", "RatFuncQ", "RationalLike", "as_rational", "binom",
     "falling", "rat_str", "ratfunc_limit", "stirling1",
     "InadmissibleArg", "QContext", "qnum", "qnum_add_split", "qnum_scale_split",
     "carlitz_numbers", "carlitz_numbers_ratfunc", "carlitz_poly", "carlitz_poly_values",

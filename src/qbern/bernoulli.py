@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling1
-from .qcore import InadmissibleArg, QContext, qnum
+from .qcore import QContext, _int_exponent, qnum
 
 __all__ = [
     "carlitz_numbers",
@@ -81,11 +81,9 @@ def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
 def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fraction]:
     """[b_0(y), ..., b_nmax(y)] at base q^c, sharing one power table."""
     y = as_rational(y)
-    e = y * ctx.c
-    if e.denominator != 1:
-        raise InadmissibleArg(f"argument {y} is not admissible at base exponent {ctx.c}")
+    e = _int_exponent(y, ctx.c)
     betas = _carlitz_values(nmax, ctx)
-    qy = ctx.q ** e.numerator          # Q^y with Q = q^c
+    qy = ctx.q ** e                    # Q^y with Q = q^c
     bracket = qnum(y, ctx)
     qy_pow = [Fraction(1)]
     br_pow = [Fraction(1)]

@@ -27,7 +27,6 @@ from math import comb, factorial
 from typing import Sequence, Tuple, Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "PoleError",
     "as_rational",
@@ -39,7 +38,6 @@ __all__ = [
     "ratfunc_limit",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 

@@ -94,12 +94,8 @@ class PadicParams:
 
 @lru_cache(maxsize=None)
 def _geometric_sum(q: Fraction, r: int, count: int) -> Fraction:
-    """sum_{y<count} q^{r*y}, exact in closed form."""
-    if r == 0:
-        return Fraction(count)
+    """sum_{y<count} q^{r*y} for r >= 1, exact; q^r != 1 since q != +-1."""
     qr = q**r
-    if qr == 1:
-        return Fraction(count)
     return (qr**count - 1) / (qr - 1)
 
 
@@ -132,31 +128,16 @@ def _check_x0(x0) -> int:
     return int(x0)
 
 
-def riemann_sum_carlitz(n: int, x0: int, params: PadicParams, N: int) -> Fraction:
-    """(1/[p^N]_q) sum_{y<p^N} [x0+y]_q^n q^y as an exact rational."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    x0 = _check_x0(x0)
-    N = _check_level(params, N)
-    count = params.p**N
-    return _bracket_moment(n, x0, params.q, count) / _geometric_sum(params.q, 1, count)
-
-
-def riemann_sum_degenerate(n: int, x0: int, params: PadicParams, N: int) -> Fraction:
-    """Same weighted average with integrand prod_{i<n}([x0+y]_q - i*lam).
-
-    The product is expanded in powers of the bracket by direct polynomial
-    multiplication, deliberately not through any precomputed coefficient
-    table, so this oracle cannot inherit a bug from the transform it is
-    checking.  lam = 0 collapses to the plain bracket power.
-    """
+def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Fraction:
+    # (1/[p^N]_q) sum_{y<p^N} prod_{i<n}([x0+y]_q - i*lam) q^y; lam is
+    # passed apart from params so the lam = 0 case builds no new params.
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x0 = _check_x0(x0)
     N = _check_level(params, N)
     coeffs = [Fraction(1)]
     for i in range(n):
-        shift = -i * params.lam
+        shift = -i * lam
         nxt = [Fraction(0)] * (len(coeffs) + 1)
         for k, ck in enumerate(coeffs):
             nxt[k + 1] += ck
@@ -170,12 +151,28 @@ def riemann_sum_degenerate(n: int, x0: int, params: PadicParams, N: int) -> Frac
     return total / _geometric_sum(params.q, 1, count)
 
 
+def riemann_sum_carlitz(n: int, x0: int, params: PadicParams, N: int) -> Fraction:
+    """(1/[p^N]_q) sum_{y<p^N} [x0+y]_q^n q^y exactly; params.lam is not read."""
+    return _riemann_sum(n, x0, params, N, Fraction(0))
+
+
+def riemann_sum_degenerate(n: int, x0: int, params: PadicParams, N: int) -> Fraction:
+    """Same weighted average with integrand prod_{i<n}([x0+y]_q - i*params.lam).
+
+    The product is expanded in powers of the bracket by direct polynomial
+    multiplication, deliberately not through any precomputed coefficient
+    table, so this oracle cannot inherit a bug from the transform it is
+    checking.  lam = 0 collapses to the plain bracket power.
+    """
+    return _riemann_sum(n, x0, params, N, params.lam)
+
+
 def riemann_sum_mu1(n: int, x0: RationalLike, lam: RationalLike, p: int, N: int) -> Fraction:
     """(1/p^N) sum_{y<p^N} prod_{i<n}(x0 + y - i*lam), exact.
 
-    Plain uniform averages, evaluated by a direct loop (integer fast path
-    when x0 and lam are integers); shares nothing with the series code it
-    cross-checks.
+    Plain uniform averages, evaluated by a direct loop over integers: every
+    factor is scaled by d = lcm(den x0, den lam) and d^n divided out at the
+    end.  Shares nothing with the series code it cross-checks.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -186,23 +183,16 @@ def riemann_sum_mu1(n: int, x0: RationalLike, lam: RationalLike, p: int, N: int)
     lam = as_rational(lam)
     if vp(x0, p) < 0 or vp(lam, p) < 0:
         raise ValueError("x0 and lam must be p-adically integral")
+    d = math.lcm(x0.denominator, lam.denominator)
+    a, l = int(x0 * d), int(lam * d)
     count = p**N
-    if x0.denominator == 1 and lam.denominator == 1:
-        a, l = int(x0), int(lam)
-        total = 0
-        for y in range(count):
-            prod = 1
-            for i in range(n):
-                prod *= a + y - i * l
-            total += prod
-        return Fraction(total, count)
-    total_f = Fraction(0)
-    for y in range(count):
-        prod_f = Fraction(1)
+    total = 0
+    for s in range(a, a + d * count, d):      # s = d*(x0 + y)
+        prod = 1
         for i in range(n):
-            prod_f *= x0 + y - i * lam
-        total_f += prod_f
-    return total_f / count
+            prod *= s - i * l
+        total += prod
+    return Fraction(total, count * d**n)
 
 
 def convergence_report(

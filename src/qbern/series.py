@@ -213,23 +213,22 @@ def kim_series(x: RationalLike, lam: RationalLike, order: int) -> TruncSeries:
     return quotient * binom_series(lam, x / lam, order)
 
 
-def carlitz_degenerate(n: int, x: RationalLike, lam: RationalLike, order: int | None = None) -> Fraction:
-    """n! times the t^n coefficient of the plain degenerate generating series."""
+def _coefficient(gen, n: int, x: RationalLike, lam: RationalLike, order: int | None) -> Fraction:
+    # n! times the t^n coefficient of the generating series gen(x, lam, order)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if order is None:
         order = n + 4                              # headroom against truncation slips
     if order < n:
         raise ValueError(f"order {order} cannot resolve coefficient {n}")
-    return factorial(n) * carlitz_series(x, lam, order)[n]
+    return factorial(n) * gen(x, lam, order)[n]
+
+
+def carlitz_degenerate(n: int, x: RationalLike, lam: RationalLike, order: int | None = None) -> Fraction:
+    """n! times the t^n coefficient of the plain degenerate generating series."""
+    return _coefficient(carlitz_series, n, x, lam, order)
 
 
 def kim_degenerate(n: int, x: RationalLike, lam: RationalLike, order: int | None = None) -> Fraction:
     """n! times the t^n coefficient of the fully degenerate generating series."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if order is None:
-        order = n + 4
-    if order < n:
-        raise ValueError(f"order {order} cannot resolve coefficient {n}")
-    return factorial(n) * kim_series(x, lam, order)[n]
+    return _coefficient(kim_series, n, x, lam, order)

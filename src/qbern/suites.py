@@ -18,7 +18,6 @@ from . import bernoulli, exactnum, padic, qcore, series, symmetry
 from .exactnum import RationalLike, as_rational, rat_str
 from .padic import INF, PadicParams, Valuation
 from .qcore import QContext
-from .symmetry import DEFAULT_PERMUTATION_CAP
 
 __all__ = [
     "SuiteResult",
@@ -159,7 +158,6 @@ def thm_suite(
     samples: int = 10,
     seed: int = 0,
     points: Optional[Sequence[Tuple[Fraction, Fraction]]] = None,
-    cap: int = DEFAULT_PERMUTATION_CAP,
 ) -> SuiteResult:
     """Sweep verify(kind, ...) over weights x degree x argument x samples.
 
@@ -180,8 +178,7 @@ def thm_suite(
                     for m in range(m_max + 1):
                         cells.append((wtuple, m, as_rational(x), lv, qv))
 
-    reports = [symmetry.verify(kind, w, m, x=x, lam=lam, q=q, cap=cap)
-               for w, m, x, lam, q in cells]
+    reports = [symmetry.verify(kind, w, m, x=x, lam=lam, q=q) for w, m, x, lam, q in cells]
     ok = all(r.ok for r in reports)
     header = ("suite", "weights", "m_or_order", "x", "q", "lambda", "sigma", "value", "verdict")
     rows: List[Tuple[object, ...]] = []
@@ -366,11 +363,11 @@ def oracle_report(
 ) -> OracleReport:
     """Riemann sums at levels 1..nmax against the claimed limit.
 
-    family 'carlitz' targets the plain q-polynomial, 'degenerate' the
-    Stirling-transformed one, 'mu1' the uniform-measure value (log-form
-    series for lam != 0, the classical polynomial at lam = 0, where the
-    series representation is singular).  q defaults to 1 + p.  Growth
-    needs at least two levels, so nmax must be >= 2.
+    family 'carlitz' (lam = 0 only) targets the plain q-polynomial,
+    'degenerate' the Stirling-transformed one, 'mu1' the uniform-measure
+    value (log-form series for lam != 0, the classical polynomial at
+    lam = 0, where the series representation is singular).  q defaults to
+    1 + p.  Growth needs at least two levels, so nmax must be >= 2.
     """
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"family must be one of {ORACLE_FAMILIES}, got {family!r}")
@@ -388,14 +385,16 @@ def oracle_report(
         target = (series.kim_degenerate(n, x0, lam) if lam != 0
                   else bernoulli.classical_poly(n, x0))
     else:
+        if family == "carlitz" and lam != 0:
+            raise ValueError("the carlitz family is the lam = 0 case; it takes no lambda")
         qv = as_rational(q) if q is not None else Fraction(1 + p)
         params = PadicParams(q=qv, lam=lam, p=p, Nmax=nmax)
         ctx = QContext(qv)
         if family == "carlitz":
-            sums = [(N, padic.riemann_sum_carlitz(n, int(x0), params, N)) for N in range(1, nmax + 1)]
+            sums = [(N, padic.riemann_sum_carlitz(n, x0, params, N)) for N in range(1, nmax + 1)]
             target = bernoulli.carlitz_poly(n, x0, ctx)
         else:
-            sums = [(N, padic.riemann_sum_degenerate(n, int(x0), params, N)) for N in range(1, nmax + 1)]
+            sums = [(N, padic.riemann_sum_degenerate(n, x0, params, N)) for N in range(1, nmax + 1)]
             target = bernoulli.degenerate_qpoly(n, x0, lam, ctx)
     rows, monotone = padic.convergence_report(target, sums, p)
     return OracleReport(

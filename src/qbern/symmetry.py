@@ -294,31 +294,24 @@ def verify(
     x: RationalLike = 0,
     lam: RationalLike = 0,
     q: RationalLike = Fraction(2),
-    sigmas: Optional[Sequence[Sequence[int]]] = None,
-    cap: int = DEFAULT_PERMUTATION_CAP,
 ) -> SymmetryReport:
     """Evaluate one identity for every permutation and compare exactly.
 
     kind thm2/thm3 require one common value over the whole group, thm1
     the same for the coefficient list through order m, and eq20 pins the
     closed form against the kernel expansion permutation by permutation
-    (on top of the invariance of the closed form).  sigmas=None sweeps
-    all of S_n in lexicographic order; an explicit list restricts the
-    sweep.  The expression evaluators are looked up as module globals at
-    call time, so a test can swap in a corrupted variant and watch the
-    verdict flip.
+    (on top of the invariance of the closed form).  The sweep covers all
+    of S_n in lexicographic order and refuses more than
+    DEFAULT_PERMUTATION_CAP weights (CapExceeded).  The expression
+    evaluators are looked up as module globals at call time, so a test
+    can swap in a corrupted variant and watch the verdict flip.
     """
     if kind not in VERIFY_KINDS:
         raise ValueError(f"kind must be one of {VERIFY_KINDS}, got {kind!r}")
     wv = weights if isinstance(weights, WeightVector) else WeightVector(tuple(weights))
-    if sigmas is None:
-        if wv.n > cap:
-            raise CapExceeded(f"n = {wv.n} weights would need {wv.n}! permutations; cap is {cap}")
-        sigma_list = list(itertools.permutations(range(1, wv.n + 1)))
-    else:
-        sigma_list = [tuple(int(s) for s in sig) for sig in sigmas]
-        if not sigma_list:
-            raise ValueError("need at least one permutation")
+    if wv.n > DEFAULT_PERMUTATION_CAP:
+        raise CapExceeded(f"n = {wv.n} weights would need {wv.n}! permutations; "
+                          f"cap is {DEFAULT_PERMUTATION_CAP}")
 
     q = as_rational(q)
     x = as_rational(x)
@@ -331,8 +324,7 @@ def verify(
     }
 
     values: List[Tuple[Tuple[int, ...], ReportValue]] = []
-    for sigma in sigma_list:
-        view = SigmaView(wv, sigma)
+    for view in wv.views():
         if kind == "thm1":
             val: ReportValue = thm1_coeffs(view, m, x, lam, q)
         elif kind == "thm2":
@@ -341,7 +333,7 @@ def verify(
             val = thm3_expr(view, m, x, lam, q)
         else:
             val = (thm2_expr(view, m, x, lam, q), thm3_expr(view, m, x, lam, q))
-        values.append((sigma, val))
+        values.append((view.sigma, val))
 
     counterexample = _find_counterexample(kind, values)
     return SymmetryReport(
@@ -364,17 +356,7 @@ def _find_counterexample(kind, values) -> Optional[Dict[str, object]]:
                     "thm3": rat_str(rhs),
                     "reason": "closed form and kernel expansion disagree",
                 }
-        reference = values[0][1][0]
-        for sigma, (lhs, _) in values[1:]:
-            if lhs != reference:
-                return {
-                    "sigma": list(sigma),
-                    "value": rat_str(lhs),
-                    "expected": rat_str(reference),
-                    "reference_sigma": list(values[0][0]),
-                    "reason": "value changed under permutation",
-                }
-        return None
+        values = [(sigma, lhs) for sigma, (lhs, _) in values]   # then invariance of thm2
     reference = values[0][1]
     for sigma, val in values[1:]:
         if val != reference:

@@ -254,6 +254,18 @@ class TestOracleSubcommand:
         code, _, _ = run(capsys, "oracle", "carlitz", "--n", "1", "--p", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "carlitz", "--n", "2", "--lambda", "5"],
+         "the carlitz family is the lam = 0 case; it takes no lambda"),
+        (["oracle", "degenerate", "--n", "2", "--x", "7/2", "--lambda", "5"],
+         "x0 must be a nonnegative integer, got 7/2"),
+    ])
+    def test_rejected_point_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"qbern: error: {message}\n"
+
 
 class TestOutputPlumbing:
     def test_out_file(self, capsys, tmp_path):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qbern import (
     INF,
@@ -182,6 +182,27 @@ class TestUniformSums:
             for y in range(5)
         )
         assert c == direct / 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(0, 5),
+        st.integers(1, 3),
+        st.integers(-30, 30),
+        st.integers(1, 12),
+        st.integers(-30, 30),
+        st.integers(1, 12),
+    )
+    def test_matches_term_by_term_loop(self, p, n, N, a, da, b, db):
+        assume(da % p and db % p)              # both inputs p-adically integral
+        x0, lam = Fraction(a, da), Fraction(b, db)
+        total = Fraction(0)
+        for y in range(p**N):
+            term = Fraction(1)
+            for i in range(n):
+                term *= x0 + y - i * lam
+            total += term
+        assert riemann_sum_mu1(n, x0, lam, p, N) == total / p**N
 
     def test_rejects_non_integral_inputs(self):
         with pytest.raises(ValueError):

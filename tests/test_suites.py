@@ -134,6 +134,15 @@ class TestOracleReport:
         with pytest.raises(ValueError):
             oracle_report("mu1", n=1, q=Fraction(6))
 
+    def test_carlitz_rejects_lambda(self):
+        # the carlitz sums and target ignore lam, so a nonzero one would be recorded unused
+        with pytest.raises(ValueError, match="takes no lambda"):
+            oracle_report("carlitz", n=2, lam=Fraction(5))
+
+    def test_q_families_reject_fractional_x0(self):
+        with pytest.raises(ValueError, match="x0 must be a nonnegative integer, got 7/2"):
+            oracle_report("degenerate", n=2, x0=Fraction(7, 2), lam=Fraction(5))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             oracle_report("gauss", n=1)

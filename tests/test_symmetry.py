@@ -263,14 +263,19 @@ class TestVerify:
         with pytest.raises(CapExceeded):
             verify("thm2", (1,) * 7, 0)
 
-    def test_explicit_sigma_subset(self):
-        rep = verify("thm2", (2, 3, 5), 1, sigmas=[(1, 2, 3), (3, 2, 1)])
-        assert len(rep.values) == 2
-        assert rep.ok
-
-    def test_empty_sigma_list_rejected(self):
-        with pytest.raises(ValueError):
-            verify("thm2", (1, 2), 1, sigmas=[])
+    def test_eq20_invariance_counterexample(self, monkeypatch):
+        # both routes agree per sigma but move with it: the invariance check fires
+        moving = lambda view, m, x, lam, q: Fraction(view.sigma[0])
+        monkeypatch.setattr(symmetry, "thm2_expr", moving)
+        monkeypatch.setattr(symmetry, "thm3_expr", moving)
+        rep = verify("eq20", (2, 3), 1)
+        assert rep.counterexample == {
+            "sigma": [2, 1],
+            "value": "2/1",
+            "expected": "1/1",
+            "reference_sigma": [1, 2],
+            "reason": "value changed under permutation",
+        }
 
     def test_json_schema(self):
         rep = verify("thm2", (2, 3), 0)
