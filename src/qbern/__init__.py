@@ -13,7 +13,6 @@ from .exactnum import (
     RationalLike,
     as_rational,
     binom,
-    falling,
     rat_str,
     ratfunc_limit,
     stirling1,
@@ -76,7 +75,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PoleError", "RatFuncQ", "RationalLike", "as_rational", "binom",
-    "falling", "rat_str", "ratfunc_limit", "stirling1",
+    "rat_str", "ratfunc_limit", "stirling1",
     "InadmissibleArg", "QContext", "qnum", "qnum_add_split", "qnum_scale_split",
     "carlitz_numbers", "carlitz_numbers_ratfunc", "carlitz_poly", "carlitz_poly_values",
     "classical_numbers", "classical_poly", "degenerate_qpoly",

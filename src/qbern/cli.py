@@ -1,5 +1,9 @@
 """Command-line front end: compute values, run suites, run oracles.
 
+Each `qbern <command> <what>` takes only the flags it reads, and
+`qbern <command> <what> --help` lists them with their defaults.  Flags
+follow `<command> <what>` and must be spelled in full; a prefix such as
+--sam is not expanded.
 Exit status: 0 when everything asked for passed (or a value was printed),
 1 when a verification suite or oracle found a mismatch, 2 on usage errors
 (a flag the chosen subcommand does not use is one), on a selection that
@@ -27,9 +31,6 @@ from .qcore import QContext
 
 __all__ = ["main", "entry", "build_parser"]
 
-COMPUTE_WHAT = ("stirling", "qbern", "qpoly", "degenerate", "kernel", "classical", "series")
-VERIFY_WHAT = ("thm1", "thm2", "thm3", "eq20", "eq12", "eq16", "series-factor", "stirling-mu1")
-
 
 class UsageError(Exception):
     """Bad or missing arguments discovered after parsing."""
@@ -52,49 +53,30 @@ def _weights_arg(text: str) -> Tuple[int, ...]:
     return parts
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qbern",
-        description="Exact q-Bernoulli values, identity verification suites, "
-                    "and p-adic convergence oracles.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("parameters")
-    g.add_argument("--n", type=int, help="degree / max degree, meaning depends on subcommand")
-    g.add_argument("--m", type=int, help="second index (e.g. for stirling)")
-    g.add_argument("--m-max", dest="m_max", type=int, help="sweep degrees 0..m-max")
-    g.add_argument("--x", type=_fraction_arg, help="evaluation point")
-    g.add_argument("--weights", type=_weights_arg, help="comma-separated positive integers")
-    g.add_argument("--q", type=_fraction_arg, help="base, as num/den")
-    g.add_argument("--lambda", dest="lam", type=_fraction_arg, help="deformation, as num/den")
-    g.add_argument("--p", type=int, help="odd prime for oracles (default 5)")
-    g.add_argument("--nmax", type=int, help="largest Riemann level N (default 5)")
-    g.add_argument("--order", type=int, help="series truncation order")
-    g.add_argument("--samples", type=int, help="number of seeded sample points")
-    g.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    g.add_argument("--i", type=int, help="kernel bracket power")
-    g.add_argument("--t", type=int, help="kernel exponent shift")
-    g.add_argument("--b", type=int, help="kernel base exponent (default 1)")
-    g.add_argument("--c", type=int, help="base exponent: values taken at q^c (default 1)")
-    g.add_argument("--variant", choices=("carlitz", "kim"),
-                   help="series family for `compute series` (default kim)")
-    out = common.add_argument_group("output")
-    out.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    out.add_argument("--out", help="write the report here instead of stdout")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    pc = sub.add_parser("compute", parents=[common], help="print one exact value")
-    pc.add_argument("what", choices=COMPUTE_WHAT)
-    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    pv.add_argument("what", choices=VERIFY_WHAT)
-    po = sub.add_parser("oracle", parents=[common], help="p-adic convergence report")
-    po.add_argument("what", choices=suites.ORACLE_FAMILIES, metavar="family")
-    return parser
-
+# The add_argument keywords of every parameter flag, by argparse dest.
+_SPECS: Dict[str, dict] = {
+    "n": dict(type=int, help="degree, or top degree of a sweep"),
+    "m": dict(type=int, help="second Stirling index"),
+    "m_max": dict(type=int, help="sweep degrees 0..m-max"),
+    "x": dict(type=_fraction_arg, help="evaluation point, as num/den"),
+    "weights": dict(type=_weights_arg, help="comma-separated positive integers"),
+    "q": dict(type=_fraction_arg, help="base, as num/den"),
+    "lam": dict(type=_fraction_arg, help="deformation, as num/den"),
+    "p": dict(type=int, help="odd prime"),
+    "nmax": dict(type=int, help="largest Riemann level N"),
+    "order": dict(type=int, help="series truncation order"),
+    "samples": dict(type=int, help="number of seeded sample points"),
+    "seed": dict(type=int, help="sampling seed"),
+    "i": dict(type=int, help="kernel bracket power"),
+    "t": dict(type=int, help="kernel exponent shift"),
+    "b": dict(type=int, help="kernel base exponent"),
+    "c": dict(type=int, help="base exponent: values taken at q^c"),
+    "variant": dict(choices=("carlitz", "kim"), help="series family"),
+}
 
 # Each (command, what) maps the parameter flags it reads, by argparse dest,
 # to its default: REQUIRED must be given, None is optional with no default.
-# Any other parameter given is a usage error rather than a silent no-op.
+# Its parser declares these flags and no others.
 REQUIRED = object()
 _GRID = {"weights": REQUIRED, "x": None, "q": None, "lam": Fraction(0), "samples": 5, "seed": 0}
 _READS: Dict[Tuple[str, str], Dict[str, object]] = {
@@ -117,22 +99,59 @@ _READS: Dict[Tuple[str, str], Dict[str, object]] = {
     **{("oracle", family): {"n": 2, "x": Fraction(0), "q": None, "lam": Fraction(0),
                             "p": 5, "nmax": 5} for family in suites.ORACLE_FAMILIES},
 }
-_OUTPUT_DESTS = ("command", "what", "fmt", "out")
+_COMMANDS = {"compute": "print one exact value", "verify": "run a verification suite",
+             "oracle": "p-adic convergence report"}
 
 
 def _flag(dest: str) -> str:
     return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
 
 
-def _check_flags(ns: argparse.Namespace) -> None:
+_FLAGS = [_flag(dest) for dest in _SPECS]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qbern",
+        description="Exact q-Bernoulli values, identity verification suites, "
+                    "and p-adic convergence oracles.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    whats = {command: commands.add_parser(command, help=text, allow_abbrev=False)
+             .add_subparsers(dest="what", required=True)
+             for command, text in _COMMANDS.items()}
+    for (command, what), reads in _READS.items():
+        sub = whats[command].add_parser(what, allow_abbrev=False)
+        for dest, default in reads.items():
+            note = ("" if default is None else " (required)" if default is REQUIRED
+                    else f" (default {default})")
+            sub.add_argument(_flag(dest), dest=dest,
+                             **dict(_SPECS[dest], help=_SPECS[dest]["help"] + note))
+        sub.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text",
+                         help="report format (default text)")
+        sub.add_argument("--out", help="write the report here instead of stdout")
+    return parser
+
+
+def _check_flags(ns: argparse.Namespace, rest: List[str]) -> None:
     """Reject flags the subcommand ignores or lacks, then fill in its defaults."""
+    # argparse leaves over a parameter flag this subcommand's parser lacks, with its value
+    named = set()
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, _ = token.partition("=")
+        if flag not in _FLAGS:
+            raise UsageError(f"unrecognized argument: {token}")
+        named.add(flag)
+        if not eq:
+            next(tokens, None)                    # every parameter flag takes one value
+    if named:
+        unused = ", ".join(flag for flag in _FLAGS if flag in named)
+        raise UsageError(f"`{ns.command} {ns.what}` does not use {unused}")
     reads = _READS[(ns.command, ns.what)]
     # decided before the defaults go in, so that a flag given at its default still counts
-    given = [dest for dest, value in vars(ns).items()
-             if value is not None and dest not in _OUTPUT_DESTS]
-    unused = [_flag(dest) for dest in given if dest not in reads]
-    if unused:
-        raise UsageError(f"`{ns.command} {ns.what}` does not use {', '.join(unused)}")
+    given = [dest for dest in reads if getattr(ns, dest) is not None]
     for dest, default in reads.items():
         if default is REQUIRED and dest not in given:
             raise UsageError(f"{_flag(dest)} is required for this subcommand")
@@ -200,14 +219,16 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
                                  samples=cfg.samples, seed=cfg.seed,
                                  points=None if cfg.q is None else [(cfg.q, cfg.lam)])
 
+    failures = [item for item in suite.items
+                if item.get("verdict") == "fail" or item.get("equal") is False]
     lines = [f"{suite.name}: {len(suite.items)} checks"]
-    shown = 0
-    for item in suite.items:
-        failing = item.get("verdict") == "fail" or item.get("equal") is False
-        if failing and shown < 5:
-            detail = item.get("counterexample") or item
-            lines.append("  fail: " + json.dumps(detail, sort_keys=True))
-            shown += 1
+    for item in failures[:5]:
+        # a symmetry item names its cell by weights and params; the others are their cell
+        detail = ({key: item[key] for key in ("weights", "params", "counterexample")}
+                  if "counterexample" in item else item)
+        lines.append("  fail: " + json.dumps(detail, sort_keys=True))
+    if len(failures) > 5:
+        lines.append(f"  ({len(failures) - 5} more failures left out)")
     lines.append(f"verdict: {'pass' if suite.ok else 'fail'}")
     return suite.to_json_dict(), suite.csv_header, suite.csv_rows, lines, not suite.ok
 
@@ -241,12 +262,12 @@ def _render(doc: Document, fmt: str) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, rest = parser.parse_known_args(argv)
     except SystemExit as exc:                     # argparse handles usage/help itself
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
-        _check_flags(ns)
+        _check_flags(ns, rest)
         if ns.command == "compute":
             doc = _run_compute(ns)
         elif ns.command == "verify":

@@ -6,14 +6,13 @@ supplies the shared scalar toolbox:
 
 * generalized binomial coefficients ``binom(e, k)`` for rational ``e``,
 * signed Stirling numbers of the first kind ``stirling1(n, m)``,
-* falling factorials ``falling(z, n)``,
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
   which takes its exact limits such as ``q -> 1``.
 
 Stirling numbers use the signed convention fixed by
 
-    falling(z, n) == sum(stirling1(n, m) * z**m for m in 0..n)
+    z(z-1)...(z-n+1) == sum(stirling1(n, m) * z**m for m in 0..n)
 
 and the empty product / ``0**0 == 1`` conventions hold throughout.
 """
@@ -33,7 +32,6 @@ __all__ = [
     "rat_str",
     "binom",
     "stirling1",
-    "falling",
     "RatFuncQ",
     "ratfunc_limit",
 ]
@@ -106,17 +104,6 @@ def stirling1(n: int, m: int) -> int:
     return _stirling1_row(n)[m]
 
 
-def falling(z: RationalLike, n: int) -> Fraction:
-    """Falling factorial z(z-1)...(z-n+1); empty product is 1."""
-    if n < 0:
-        raise ValueError(f"falling needs n >= 0, got {n}")
-    z = as_rational(z)
-    out = Fraction(1)
-    for i in range(n):
-        out *= z - i
-    return out
-
-
 def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     out = Fraction(0)
     for c in reversed(p):
@@ -152,15 +139,12 @@ class RatFuncQ:
         if not any(self.den):
             raise ZeroDivisionError("RatFuncQ with zero denominator")
 
-    def eval(self, q0: RationalLike) -> Fraction:
+    def __call__(self, q0: RationalLike) -> Fraction:
         q0 = as_rational(q0)
         d = _peval(self.den, q0)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
         return _peval(self.num, q0) / d
-
-    def __call__(self, q0: RationalLike) -> Fraction:
-        return self.eval(q0)
 
     def __repr__(self) -> str:
         return f"RatFuncQ(num={list(self.num)}, den={list(self.den)})"

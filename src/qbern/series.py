@@ -72,11 +72,6 @@ class TruncSeries:
             raise ValueError("order must be >= 1 to represent t")
         return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.order:
-            return self
-        return TruncSeries(self.coeffs[: order + 1])
-
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; order+1 for the zero series."""
         for k, c in enumerate(self.coeffs):
@@ -142,11 +137,6 @@ class TruncSeries:
             den = TruncSeries(other.coeffs[v:])
             return num * den.inverse()
         return self * other.inverse()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 def binom_series(lam: RationalLike, e: RationalLike, order: int) -> TruncSeries:

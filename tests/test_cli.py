@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 import qbern
 import qbern.cli as cli
-import qbern.suites as suites
 import qbern.symmetry as symmetry
 from qbern.cli import main
 
@@ -139,6 +138,8 @@ class TestExitCodes:
         (["compute", "qbern", "--n", "2", "--q", "2", "--seed", "0"], "does not use --seed"),
         (["verify", "thm2", "--weights", "2,3", "--lambda", "1"], "--lambda pins a point only"),
         (["verify", "eq20", "--weights", "2,3", "--m", "1", "--m-max", "1"], "does not use --m"),
+        (["verify", "eq12", "--p=4", "--samples", "2", "--seed=1", "--q=-3/2"],
+         "`verify eq12` does not use --q, --p"),
     ])
     def test_flag_without_effect_is_usage_error(self, capsys, argv, message):
         # a flag the run would ignore must not pass silently
@@ -147,6 +148,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qbern: error:")
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eq12", "--sam", "3"],
+        ["compute", "degenerate", "--n", "2", "--x", "0", "--lam", "1", "--q", "2"],
+        ["compute", "qbern", "--n", "2", "--q", "2", "junk"],
+        ["verify", "eq12", "--p", "4", "junk"],
+    ])
+    def test_abbreviation_or_stray_token_is_usage_error(self, capsys, argv):
+        # flags are spelled in full; a prefix is not expanded to another flag
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qbern: error:")
 
     def test_python_dash_m_runs_the_cli(self):
         env = dict(os.environ)
@@ -179,6 +193,28 @@ class TestExitCodes:
         )
         assert code == 1
         assert "verdict: fail" in out
+
+    def test_fail_lines_name_their_cell(self, capsys, monkeypatch):
+        real = symmetry.thm2_expr
+
+        def corrupted(view, m, x, lam, q):
+            return real(view, m, x, lam, q) + (1 if view.sigma == (2, 1) and m == 1 else 0)
+
+        monkeypatch.setattr(symmetry, "thm2_expr", corrupted)
+        code, out, _ = run(capsys, "verify", "thm2", "--weights", "2,3", "--m-max", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "verify-thm2: 30 checks"
+        fails = [json.loads(line[len("  fail: "):]) for line in lines[1:6]]
+        for detail in fails:
+            assert set(detail) == {"weights", "params", "counterexample"}
+            assert detail["weights"] == [2, 3]
+            assert set(detail["params"]) == {"m", "x", "q", "lambda"}
+            assert detail["params"]["m"] == "1"
+            assert detail["counterexample"]["sigma"] == [2, 1]
+        cells = [(d["params"]["x"], d["params"]["q"], d["params"]["lambda"]) for d in fails]
+        assert len(set(cells)) == 5
+        assert lines[6:] == ["  (10 more failures left out)", "verdict: fail"]
 
 
 class TestVerifySubcommands:
@@ -311,15 +347,15 @@ class TestOutputPlumbing:
         assert len(rows) == 6
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _parser_dests():
-    """{(command, what): set of dests} for every pair build_parser accepts."""
-    commands = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    pairs = {}
-    for command, sub in commands.choices.items():
-        what = next(a for a in sub._actions if a.dest == "what")
-        pairs.update({(command, choice): {a.dest for a in sub._actions} for choice in what.choices})
-    return pairs
+    """{(command, what): set of dests} for every leaf parser build_parser builds."""
+    return {(command, what): {a.dest for a in leaf._actions}
+            for command, sub in _subparsers(cli.build_parser()).items()
+            for what, leaf in _subparsers(sub).items()}
 
 
 _VALID = {"n": "2", "m": "1", "x": "0", "q": "2", "lam": "1", "weights": "2", "i": "1", "t": "0"}
@@ -330,7 +366,18 @@ class TestFlagTable:
         pairs = _parser_dests()
         assert set(cli._READS) == set(pairs)
         for key, reads in cli._READS.items():
-            assert set(reads) <= pairs[key], key
+            assert pairs[key] == set(reads) | {"help", "fmt", "out"}, key
+
+    @pytest.mark.parametrize("key", [pytest.param(key, id=" ".join(key)) for key in cli._READS])
+    def test_help_lists_exactly_the_flags_read(self, capsys, key):
+        code, out, _ = run(capsys, *key, "--help")
+        assert code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        assert listed == {cli._flag(dest) for dest in cli._READS[key]} | {"--help", "--format", "--out"}
+        text = " ".join(out.split())                # help lines may wrap anywhere
+        for dest, default in cli._READS[key].items():
+            if default is not None and default is not cli.REQUIRED:
+                assert f"(default {default})" in text
 
     @pytest.mark.parametrize("key, dest", [
         pytest.param(key, dest, id=f"{' '.join(key)} {cli._flag(dest)}")
@@ -384,8 +431,8 @@ _OPTIONS = {
     "--variant": st.sampled_from(["carlitz", "kim"]),
     "--format": st.sampled_from(["text", "json", "csv"]),
 }
-_WHATS = {"compute": cli.COMPUTE_WHAT, "verify": cli.VERIFY_WHAT,
-          "oracle": suites.ORACLE_FAMILIES}
+_WHATS = {command: [what for c, what in cli._READS if c == command]
+          for command in ("compute", "verify", "oracle")}
 
 
 @st.composite

@@ -35,7 +35,7 @@ class TestSampling:
         import random
 
         rng = random.Random(3)
-        vals = [sample_rational(rng, allow_zero=False) for _ in range(300)]
+        vals = [sample_rational(rng, exclude=(Fraction(0),)) for _ in range(300)]
         assert all(v != 0 for v in vals)
 
 
