@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import qbern
 import qbern.cli as cli
+import qbern.exactnum as exactnum
+import qbern.qcore as qcore
+import qbern.series as series
 import qbern.symmetry as symmetry
 from qbern.cli import main
 
@@ -345,6 +349,113 @@ class TestOutputPlumbing:
             ("family", "p", "q", "lambda", "n", "x0", "N", "valuation", "monotone")
         )
         assert len(rows) == 6
+
+
+def _corrupt_thm2(monkeypatch):
+    real = symmetry.thm2_expr
+    monkeypatch.setattr(symmetry, "thm2_expr", lambda view, m, x, lam, q: real(view, m, x, lam, q)
+                        + (1 if view.sigma == (2, 1) and m == 1 else 0))
+
+
+def _corrupt_eq12(monkeypatch):
+    real = qcore.qnum_scale_split
+
+    def corrupted(z, c, ctx):
+        lhs, rhs = real(z, c, ctx)
+        return lhs, rhs + (1 if c == 2 else 0)
+
+    monkeypatch.setattr(qcore, "qnum_scale_split", corrupted)
+
+
+def _corrupt_series_factor(monkeypatch):
+    real = series.carlitz_series
+    monkeypatch.setattr(series, "carlitz_series",
+                        lambda x, lam, order: real(x + 1 if x > 0 else x, lam, order))
+
+
+def _corrupt_stirling(monkeypatch):
+    real = exactnum.stirling1
+    monkeypatch.setattr(exactnum, "stirling1", lambda n, m: -real(n, m) if n > m else real(n, m))
+
+
+# (argv, corruption or None, {format: SHA-256 of stdout}) at small sizes: every verify kind
+# and oracle family, a failing run of each suite family, and an oracle whose rows are all inf
+_REPORT_PINS = [
+    ("verify thm1 --weights 1,2 --order 2 --samples 2 --seed 1", None, {
+        "text": "9ae4a04e595c223f1df8391ac4dfb33833fee8f6916ac645697031a062c38245",
+        "json": "8ecd60dc2fb8316e9cf12f17e634be33d17710e60009ecdee39f02c80cf35578",
+        "csv": "08d2bbbb65e4b01ebb86427216716c5fdf51fbf5c46aa488bb4de9fbbf1f87f5"}),
+    ("verify thm2 --weights 1,2 --m-max 2 --samples 2 --seed 7", None, {
+        "text": "57f39f7527751c34f2f56e0344f74b430de703729ea8833c2bd9c491d2f9dfb4",
+        "json": "63ed81d4eba517aa48c9c8bef7183e825b18399fd55f31bc0e590e72e0063624",
+        "csv": "1dc453360bd30badfeb30d2b999012af51f5fb3e25fd0cd8fa6a35fc496facc1"}),
+    ("verify thm3 --weights 2,3 --m-max 1 --x 1 --samples 1 --seed 3", None, {
+        "text": "5cbebcf7dd3468609e5a1a81a14e89b6b53e58ce2faf48ab71ef38c5f93fed8c",
+        "json": "a53dafa3285762e23670b4d83cd861d27da10cbda35c9895759a9aff3a6a55e2",
+        "csv": "f35ba49af68f037639add2868f5a5a33bb0d38aaf5c29f726bc8b93de608d000"}),
+    ("verify eq20 --weights 1,2 --m-max 1 --x 2 --q 3 --lambda 1/2", None, {
+        "text": "d91af2b8710701783537989d12942ae9be967307ffec4d7d5eb68c980cba0961",
+        "json": "8504bf13ad633cdb434c917461c4d4716fc7319a32b6761e8a80f7e83c59e42e",
+        "csv": "e43f77ed410d0e30dff4adf016de9349e86f3745ea2daea703b26552876812f8"}),
+    ("verify eq12 --samples 5 --seed 2", None, {
+        "text": "2ba0e98514427b868a10772c1a3cb0597e0190e237bfe36c5fec183dc9bdcd21",
+        "json": "a28d63624a4c553093c3431e02f67bd739851f7d243452a281e9236e27da1f08",
+        "csv": "d6061dbe98d8fae22a42881226f36065a265504f81b10a5cc670331f8d14926f"}),
+    ("verify eq16 --samples 5 --seed 2", None, {
+        "text": "43afa8819f435973207d7d765b5716cf94092df617df99f50a789aed1eecb624",
+        "json": "1342572d8a0acde3bf4e728ef36d0367a060148410596106b5edb43d72d17c11",
+        "csv": "3b9d3a6aa06f7747c082c243355ae7f66c0a65fc48ee1375fe520d172bdc2e17"}),
+    ("verify series-factor --order 4 --samples 3 --seed 1", None, {
+        "text": "42e3e17f5a1e9b5cb0f654b6f4d27b5fa7c84384f41e0953038c7e214a51fe37",
+        "json": "0fee58def7c5a6c73fb16fd719a827cb9445873c17f4c8d944cb49fec147d8fa",
+        "csv": "58dace9fa715f25eb24b24ee618c3a66c3ab16857e53b29a2ae2597d395cfcda"}),
+    ("verify stirling-mu1 --n 3 --samples 2 --seed 1", None, {
+        "text": "df534f001c65ae0c4159e25060fcd0ee7d47cdc2a35889109626ee639fc242e3",
+        "json": "1411650b73c15a24c156202d6cdaf95ba3a89bb97513da54d43ede94fbc74d45",
+        "csv": "3adb6fec39e92e40c144b6a8522966ce5d42ac7ac610170cc92eb07bb8d76f13"}),
+    ("oracle carlitz --n 0", None, {
+        "text": "35bde67f97eced308856e57e2b2df58205cbf865d0ed6273b7b84b98e402f541",
+        "json": "96058991b51f24348348155f0652bd683928f69e567b2213f2119af970b0e852",
+        "csv": "aa8fee8f882238729cd7cd743256b3bc72ce62cf529fa187ab3c321202f1aa94"}),
+    ("oracle degenerate --n 2 --lambda 5 --nmax 3", None, {
+        "text": "b95c76001dfe51a41f60d22679810568d7700d1c04ebf8c5761818f896142347",
+        "json": "e3dc0d885a8c4f40fd08958b328fa5cd3608acc33046bfc45a1064f254366e2d",
+        "csv": "23b92ca2249d44d3b9ed9c1369e05af4649d4f571b141f7f5fbc052e842a5e13"}),
+    ("oracle mu1 --n 2 --lambda 1 --nmax 3", None, {
+        "text": "7598e80e7d9b53ff6a34db767c63837236d20f5999ffc7300daa7beba6cbd17c",
+        "json": "12043d23926201c19ea0a36c84a96407c12ffe39f15895cb441d5078e2313019",
+        "csv": "96c4a6b0054b7f97ea8aa9036f408cc9982cf1ed1a6ad1d1a36e951ea46a2669"}),
+    ("verify thm2 --weights 2,3 --m-max 1 --samples 2", _corrupt_thm2, {
+        "text": "f331e7b66097577c3e62342aba54b41be49663d2a76d4fc84c50112a398744c7",
+        "json": "bde8a03529f3fc43d5d1faeff8ab931db711377e07ccb0c252f9623f7e52b613",
+        "csv": "b18a703f6bf91d8561d21b4ae1e89e75af835f56a8d7e020848410aa2529b2e2"}),
+    ("verify eq12 --samples 6 --seed 2", _corrupt_eq12, {
+        "text": "00204d09a1d22131a502da910eadca2affb14d5bf4ce41cf31c0fc8654440151",
+        "json": "fc84af26707481a2a963485a25221763acb7060032c9639fbae452a6c673e1ae",
+        "csv": "96714628d6a3ec84e5f72e73c30de39f90758a98eb3d13d6e44676f1ab1e9b5f"}),
+    ("verify series-factor --order 4 --samples 3 --seed 1", _corrupt_series_factor, {
+        "text": "6be2c529a1a4f27347d9257a08769bd2b1ff8d5ff6b391564458c3616f700efa",
+        "json": "a348ef6feaedf50814a9a8202f26c5c33ec9a5c1b7f99fe3fdfa5d3abe649158",
+        "csv": "0402add9c8bac22b1a80cc046a5161131f43f5c9ba122d6a25b13cddc58904c6"}),
+    ("verify stirling-mu1 --n 3 --samples 2 --seed 1", _corrupt_stirling, {
+        "text": "847c06ef2af0b5651f042416375d58e8f7c1e791b5c6b0e2b2e203bd0b21b221",
+        "json": "08e8bb99f56de3930c9e390f1b5716719ac82528290faa85b19940eb94e95cba",
+        "csv": "dfe358a76c6b23efd981aa43cc4603e6826aae3e8d487fe316a97b0f6b975549"}),
+]
+
+
+@pytest.mark.parametrize("argv, corrupt, fmt, digest", [
+    pytest.param(argv, corrupt, fmt, digest,
+                 id=f"{argv} {fmt}" + (" corrupted" if corrupt else ""))
+    for argv, corrupt, digests in _REPORT_PINS for fmt, digest in digests.items()
+])
+def test_report_bytes_are_pinned(capsys, monkeypatch, argv, corrupt, fmt, digest):
+    # the same reports, byte for byte, whatever produces them
+    if corrupt:
+        corrupt(monkeypatch)
+    code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+    assert code == (1 if corrupt else 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _subparsers(parser):
