@@ -3,7 +3,9 @@
 Each `qbern <command> <what>` takes only the flags it reads, and
 `qbern <command> <what> --help` lists them with their defaults.  Flags
 follow `<command> <what>` and must be spelled in full; a prefix such as
---sam is not expanded.
+--sam is not expanded.  A negative fraction needs the = form
+(--q=-3/2), since argparse reads a separate -3/2 as a flag; a negative
+integer (--q -3) works either way.
 Exit status: 0 when everything asked for passed (or a value was printed),
 1 when a verification suite or oracle found a mismatch, 2 on usage errors
 (a flag the chosen subcommand does not use is one), on a selection that
@@ -11,14 +13,16 @@ yields no checks, and when --out cannot be written.  On the symmetry grids
 (thm1, thm2, thm3, eq20) --q pins one (q, lambda) point, so --samples or
 --seed together with --q, and --lambda without --q, are usage errors.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
-byte-stable for a fixed config and seed), or CSV flattened one row per
-item.
+byte-stable for a fixed config and seed), or CSV: one row per item, except
+the symmetry grids (one row per item and sigma) and the oracle (one row
+per level N).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -110,7 +114,9 @@ def _flag(dest: str) -> str:
 _FLAGS = [_flag(dest) for dest in _SPECS]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="qbern",
         description="Exact q-Bernoulli values, identity verification suites, "
@@ -219,8 +225,8 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
                                  samples=cfg.samples, seed=cfg.seed,
                                  points=None if cfg.q is None else [(cfg.q, cfg.lam)])
 
-    failures = [item for item in suite.items
-                if item.get("verdict") == "fail" or item.get("equal") is False]
+    doc = suite.to_json_dict()
+    failures = suite.failures
     lines = [f"{suite.name}: {len(suite.items)} checks"]
     for item in failures[:5]:
         # a symmetry item names its cell by weights and params; the others are their cell
@@ -229,21 +235,21 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
         lines.append("  fail: " + json.dumps(detail, sort_keys=True))
     if len(failures) > 5:
         lines.append(f"  ({len(failures) - 5} more failures left out)")
-    lines.append(f"verdict: {'pass' if suite.ok else 'fail'}")
-    return suite.to_json_dict(), suite.csv_header, suite.csv_rows, lines, not suite.ok
+    lines.append(f"verdict: {doc['verdict']}")
+    return doc, suite.csv_header, suite.csv_rows, lines, bool(failures)
 
 
 def _run_oracle(cfg: argparse.Namespace) -> Document:
     rep = suites.oracle_report(cfg.what, cfg.n, x0=cfg.x, q=cfg.q, lam=cfg.lam,
                                p=cfg.p, nmax=cfg.nmax)
+    doc = rep.to_json_dict()
     lines = [
-        f"oracle {rep.family}: p={rep.p} q={rat_str(rep.q)} lambda={rat_str(rep.lam)} "
-        f"n={rep.n} x0={rat_str(rep.x0)} target={rat_str(rep.target)}"
+        f"oracle {doc['family']}: p={doc['p']} q={doc['q']} lambda={doc['lambda']} "
+        f"n={doc['n']} x0={doc['x0']} target={doc['target']}"
     ]
-    for N, v in rep.rows:
-        lines.append(f"  N={N} valuation={'inf' if v == suites.INF else v}")
-    lines.append(f"monotone: {'true' if rep.monotone else 'false'}")
-    return rep.to_json_dict(), rep.csv_header, rep.csv_rows, lines, not rep.ok
+    lines += [f"  N={row['N']} valuation={row['valuation']}" for row in doc["rows"]]
+    lines.append(f"monotone: {json.dumps(doc['monotone'])}")
+    return doc, rep.csv_header, rep.csv_rows, lines, not rep.ok
 
 
 def _render(doc: Document, fmt: str) -> str:

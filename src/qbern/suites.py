@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bernoulli, exactnum, padic, qcore, series, symmetry
 from .exactnum import RationalLike, as_rational, rat_str
@@ -69,12 +69,11 @@ def q_lam_points(samples: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """One suite's outcome: JSON-ready items plus flat rows for CSV."""
+    """One suite's outcome: one JSON item per check, which the verdict is read off, and CSV rows."""
 
     name: str
     params: Dict[str, object]
     items: Tuple[Dict[str, object], ...]
-    ok: bool
     csv_header: Tuple[str, ...]
     csv_rows: Tuple[Tuple[object, ...], ...]
 
@@ -83,6 +82,16 @@ class SuiteResult:
         if not self.items:
             raise ValueError(f"{self.name}: the selection yields no checks")
 
+    @property
+    def failures(self) -> List[Dict[str, object]]:
+        """Items with a failing symmetry verdict or an unequal pair of routes."""
+        return [item for item in self.items
+                if item.get("verdict") == "fail" or item.get("equal") is False]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.name,
@@ -90,10 +99,6 @@ class SuiteResult:
             "verdict": "pass" if self.ok else "fail",
             "items": list(self.items),
         }
-
-
-def _val_json(v: Valuation) -> Union[int, str]:
-    return "inf" if v == INF else int(v)
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class OracleReport:
             "n": self.n,
             "x0": rat_str(self.x0),
             "target": rat_str(self.target),
-            "rows": [{"N": N, "valuation": _val_json(v)} for N, v in self.rows],
+            "rows": [{"N": N, "valuation": "inf" if v == INF else int(v)} for N, v in self.rows],
             "monotone": self.monotone,
         }
 
@@ -133,11 +138,9 @@ class OracleReport:
 
     @property
     def csv_rows(self) -> Tuple[Tuple[object, ...], ...]:
-        return tuple(
-            (self.family, self.p, rat_str(self.q), rat_str(self.lam), self.n,
-             rat_str(self.x0), N, _val_json(v), self.monotone)
-            for N, v in self.rows
-        )
+        doc = self.to_json_dict()
+        point = tuple(doc[key] for key in ("family", "p", "q", "lambda", "n", "x0"))
+        return tuple((*point, row["N"], row["valuation"], self.monotone) for row in doc["rows"])
 
 
 # -- symmetry suites -----------------------------------------------------------
@@ -160,31 +163,17 @@ def thm_suite(
     """
     if points is None:
         points = q_lam_points(samples, seed)
-    cells: List[Tuple[Tuple[int, ...], int, Fraction, Fraction, Fraction]] = []
-    for w in weights_list:
-        wtuple = tuple(int(x) for x in w)
-        for x in xs:
-            for qv, lv in points:
-                if kind == "thm1":
-                    cells.append((wtuple, m_max, as_rational(x), lv, qv))
-                else:
-                    for m in range(m_max + 1):
-                        cells.append((wtuple, m, as_rational(x), lv, qv))
-
-    reports = [symmetry.verify(kind, w, m, x=x, lam=lam, q=q) for w, m, x, lam, q in cells]
-    ok = all(r.ok for r in reports)
-    header = ("suite", "weights", "m_or_order", "x", "q", "lambda", "sigma", "value", "verdict")
+    degrees = [m_max] if kind == "thm1" else range(m_max + 1)
+    items = tuple(symmetry.verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
+                  for w in weights_list for x in xs for q, lam in points for m in degrees)
+    degree_key = "order" if kind == "thm1" else "m"
     rows: List[Tuple[object, ...]] = []
-    items: List[Dict[str, object]] = []
-    for cell, rep in zip(cells, reports):
-        w, m, x, lam, q = cell
-        jd = rep.to_json_dict()
-        items.append(jd)
-        for entry in jd["values"]:
-            rows.append((
-                kind, ",".join(map(str, w)), m, rat_str(x), rat_str(q), rat_str(lam),
-                ",".join(map(str, entry["sigma"])), _flat(entry["value"]), rep.verdict,
-            ))
+    for item in items:
+        cell = item["params"]
+        head = (kind, ",".join(map(str, item["weights"])),
+                cell[degree_key], cell["x"], cell["q"], cell["lambda"])
+        rows.extend((*head, ",".join(map(str, entry["sigma"])), _flat(entry["value"]),
+                     item["verdict"]) for entry in item["values"])
     return SuiteResult(
         name=f"verify-{kind}",
         params={
@@ -195,9 +184,9 @@ def thm_suite(
             "samples": len(points),
             "seed": seed,
         },
-        items=tuple(items),
-        ok=ok,
-        csv_header=header,
+        items=items,
+        csv_header=("suite", "weights", "m_or_order", "x", "q", "lambda", "sigma", "value",
+                    "verdict"),
         csv_rows=tuple(rows),
     )
 
@@ -224,8 +213,6 @@ def qlemma_suite(which: str, samples: int = 200, seed: int = 0) -> SuiteResult:
         raise ValueError(f"which must be eq12 or eq16, got {which!r}")
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
-    rows: List[Tuple[object, ...]] = []
-    ok = True
     for idx in range(samples):
         q = sample_q(rng)
         c0 = rng.randint(1, 3)
@@ -233,32 +220,25 @@ def qlemma_suite(which: str, samples: int = 200, seed: int = 0) -> SuiteResult:
         if which == "eq12":
             c = rng.randint(1, 4)
             z = Fraction(rng.randint(-9, 9), c * c0)
+            args: Dict[str, object] = {"c": c, "z": rat_str(z)}
             lhs, rhs = qcore.qnum_scale_split(z, c, ctx)
-            item: Dict[str, object] = {
-                "index": idx, "q": rat_str(q), "c0": c0, "c": c, "z": rat_str(z),
-                "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": lhs == rhs,
-            }
-            rows.append((which, idx, rat_str(q), c0, f"c={c}", rat_str(z), "",
-                         rat_str(lhs), rat_str(rhs), lhs == rhs))
         else:
             a = Fraction(rng.randint(-9, 9), c0)
             b = Fraction(rng.randint(-9, 9), c0)
+            args = {"a": rat_str(a), "b": rat_str(b)}
             lhs, rhs = qcore.qnum_add_split(a, b, ctx)
-            item = {
-                "index": idx, "q": rat_str(q), "c0": c0, "a": rat_str(a), "b": rat_str(b),
-                "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": lhs == rhs,
-            }
-            rows.append((which, idx, rat_str(q), c0, rat_str(a), rat_str(b), "",
-                         rat_str(lhs), rat_str(rhs), lhs == rhs))
-        ok = ok and lhs == rhs
-        items.append(item)
+        items.append({"index": idx, "q": rat_str(q), "c0": c0, **args,
+                      "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": lhs == rhs})
     return SuiteResult(
         name=f"verify-{which}",
         params={"which": which, "samples": samples, "seed": seed},
         items=tuple(items),
-        ok=ok,
         csv_header=("suite", "index", "q", "c0", "arg1", "arg2", "arg3", "lhs", "rhs", "equal"),
-        csv_rows=tuple(rows),
+        csv_rows=tuple(
+            (which, it["index"], it["q"], it["c0"],
+             *((f"c={it['c']}", it["z"]) if which == "eq12" else (it["a"], it["b"])),
+             "", it["lhs"], it["rhs"], it["equal"])
+            for it in items),
     )
 
 
@@ -276,29 +256,22 @@ def series_factor_suite(order: int = 12, samples: int = 20, seed: int = 0) -> Su
         raise ValueError(f"order must be >= 0, got {order}")
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
-    rows: List[Tuple[object, ...]] = []
-    ok = True
     for idx in range(samples):
         lam = sample_rational(rng, exclude=(Fraction(0),))
         x = sample_rational(rng)
         lhs = series.kim_series(x, lam, order)
         rhs = series.log_factor_series(lam, order) * series.carlitz_series(x, lam, order)
         mismatch = next((k for k in range(order + 1) if lhs[k] != rhs[k]), None)
-        equal = mismatch is None
-        ok = ok and equal
         items.append({
             "index": idx, "lambda": rat_str(lam), "x": rat_str(x), "order": order,
-            "equal": equal, "first_mismatch": mismatch,
+            "equal": mismatch is None, "first_mismatch": mismatch,
         })
-        rows.append(("series-factor", idx, rat_str(lam), rat_str(x), order, equal,
-                     "" if mismatch is None else mismatch))
     return SuiteResult(
         name="verify-series-factor",
         params={"order": order, "samples": samples, "seed": seed},
         items=tuple(items),
-        ok=ok,
         csv_header=("suite", "index", "lambda", "x", "order", "equal", "first_mismatch"),
-        csv_rows=tuple(rows),
+        csv_rows=tuple(("series-factor", *item.values()) for item in items),  # None -> ""
     )
 
 
@@ -312,8 +285,6 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
     """
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
-    rows: List[Tuple[object, ...]] = []
-    ok = True
     for idx in range(samples):
         lam = sample_rational(rng, exclude=(Fraction(0),))
         x = sample_rational(rng)
@@ -324,21 +295,16 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
                  for m in range(n + 1)),
                 Fraction(0),
             )
-            equal = lhs == rhs
-            ok = ok and equal
             items.append({
                 "index": idx, "lambda": rat_str(lam), "x": rat_str(x), "n": n,
-                "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": equal,
+                "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": lhs == rhs,
             })
-            rows.append(("stirling-mu1", idx, rat_str(lam), rat_str(x), n,
-                         rat_str(lhs), rat_str(rhs), equal))
     return SuiteResult(
         name="verify-stirling-mu1",
         params={"n_max": n_max, "samples": samples, "seed": seed},
         items=tuple(items),
-        ok=ok,
         csv_header=("suite", "index", "lambda", "x", "n", "lhs", "rhs", "equal"),
-        csv_rows=tuple(rows),
+        csv_rows=tuple(("stirling-mu1", *item.values()) for item in items),
     )
 
 

@@ -473,6 +473,9 @@ _VALID = {"n": "2", "m": "1", "x": "0", "q": "2", "lam": "1", "weights": "2", "i
 
 
 class TestFlagTable:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_table_covers_exactly_the_parser(self):
         pairs = _parser_dests()
         assert set(cli._READS) == set(pairs)

@@ -1,4 +1,4 @@
-"""Suite drivers: seeded sampling, report assembly, thread fan-out."""
+"""Suite drivers: seeded sampling and report assembly."""
 
 from fractions import Fraction
 
