@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbern.bernoulli as bernoulli
 from qbern import (
@@ -162,6 +164,37 @@ class TestDegenerate:
         fresh = Fraction(9, 4)
         predicted = sum(c * fresh**j for j, c in enumerate(coeffs))
         assert predicted == degenerate_qpoly(m, 1, fresh, ctx)
+
+
+class TestTermByTermOracle:
+    """Each polynomial value against its defining sum, one Fraction term at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=-12, max_value=12),
+        st.integers(min_value=0, max_value=7),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)),
+    )
+    def test_values_match_defining_sums(self, q, c, k, nmax, lam):
+        ctx = QContext(q, c=c)
+        y = Fraction(k, c)                           # c*y = k is an integer
+        table = carlitz_numbers(nmax, ctx)
+        qy = q**k                                    # Q^y with Q = q^c
+        bracket = (1 - q**k) / (1 - q**c)            # [y]_Q
+        expected = [
+            sum((comb(n, l) * qy**l * table[l] * bracket ** (n - l) for l in range(n + 1)),
+                Fraction(0))
+            for n in range(nmax + 1)
+        ]
+        assert carlitz_poly_values(nmax, y, ctx) == expected
+        for m in range(nmax + 1):
+            degenerate = sum((stirling1(m, l) * lam ** (m - l) * expected[l] for l in range(m + 1)),
+                             Fraction(0))
+            assert degenerate_qpoly(m, y, lam, ctx) == degenerate
 
 
 def _poly_from_points(xs, ys):
