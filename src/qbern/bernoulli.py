@@ -17,6 +17,11 @@ and the fully degenerate version is their Stirling transform
 which at L = 0 collapses to b_n(y) (0**0 == 1).  Number tables are
 memoized per (q, c), up to CARLITZ_CACHE_TABLES of them, because symmetry
 verification reuses the same bases thousands of times.
+
+A row of values is summed over one common denominator: the number table,
+Q^y, [y]_Q and L are split into integer numerators and denominators, each
+value is an integer sum over their product, and one Fraction is built per
+value.  No Fraction arithmetic (and no gcd) happens inside the sums.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from fractions import Fraction
+from math import comb, lcm
 from typing import List, Tuple
 
 from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling1
@@ -79,23 +85,38 @@ def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
 
 
 def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fraction]:
-    """[b_0(y), ..., b_nmax(y)] at base q^c, sharing one power table."""
+    """[b_0(y), ..., b_nmax(y)] at base q^c, summed over one common denominator.
+
+    With D the lcm of the table's denominators, b_l = E_l / D, Q^y = u/v and
+    [y]_Q = t/w, the value is
+
+        b_n(y) = sum_l C(n,l) a^l E_l r^(n-l) / (D s^n),
+
+    where a = u*w, r = t*v and s = v*w: an integer sum and one Fraction.
+    """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     y = as_rational(y)
     e = _int_exponent(y, ctx.c)
     betas = _carlitz_values(nmax, ctx)
     qy = ctx.q ** e                    # Q^y with Q = q^c
     bracket = qnum(y, ctx)
-    qy_pow = [Fraction(1)]
-    br_pow = [Fraction(1)]
+    D = lcm(*(b.denominator for b in betas))
+    E = [b.numerator * (D // b.denominator) for b in betas]
+    a = qy.numerator * bracket.denominator
+    r = bracket.numerator * qy.denominator
+    s = qy.denominator * bracket.denominator
+    a_pow = [1]
+    r_pow = [1]
     for _ in range(nmax):
-        qy_pow.append(qy_pow[-1] * qy)
-        br_pow.append(br_pow[-1] * bracket)
+        a_pow.append(a_pow[-1] * a)
+        r_pow.append(r_pow[-1] * r)
     out = []
+    den = D
     for n in range(nmax + 1):
-        acc = Fraction(0)
-        for l in range(n + 1):
-            acc += binom(n, l) * qy_pow[l] * betas[l] * br_pow[n - l]
-        out.append(acc)
+        acc = sum(comb(n, l) * a_pow[l] * E[l] * r_pow[n - l] for l in range(n + 1))
+        out.append(Fraction(acc, den))
+        den *= s
     return out
 
 
@@ -110,18 +131,22 @@ def degenerate_qpoly(m: int, y: RationalLike, lam_deg: RationalLike, ctx: QConte
     """Fully degenerate q-Bernoulli polynomial: Stirling transform of b_l(y).
 
     ``lam_deg`` is the (already scaled) deformation parameter; 0 is allowed
-    and reproduces the plain q-Bernoulli polynomial.
+    and reproduces the plain q-Bernoulli polynomial.  With lam_deg = g/h and
+    L the lcm of the denominators of b_l(y), the transform is one integer
+    sum over L h^m.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     lam_deg = as_rational(lam_deg)
     vals = carlitz_poly_values(m, y, ctx)
-    acc = Fraction(0)
-    for l in range(m + 1):
+    g, h = lam_deg.numerator, lam_deg.denominator
+    L = lcm(*(v.denominator for v in vals))
+    acc = 0
+    for l, v in enumerate(vals):
         s = stirling1(m, l)
         if s:
-            acc += s * lam_deg ** (m - l) * vals[l]
-    return acc
+            acc += s * g ** (m - l) * h ** l * v.numerator * (L // v.denominator)
+    return Fraction(acc, L * h ** m)
 
 
 _classical_cache: List[Fraction] = [Fraction(1)]

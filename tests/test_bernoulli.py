@@ -108,6 +108,10 @@ class TestCarlitzPolynomials:
         vals = carlitz_poly_values(5, 2, Q2)
         assert vals == [carlitz_poly(n, 2, Q2) for n in range(6)]
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="nmax must be >= 0"):
+            carlitz_poly_values(-1, 0, Q2)
+
     def test_inadmissible_argument(self):
         with pytest.raises(InadmissibleArg):
             carlitz_poly(2, Fraction(1, 3), Q2)
