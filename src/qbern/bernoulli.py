@@ -27,8 +27,8 @@ value.  No Fraction arithmetic (and no gcd) happens inside the sums.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from typing import List, Tuple
 
@@ -51,20 +51,18 @@ __all__ = [
 # --samples 300` asks for 196 tables).
 CARLITZ_CACHE_TABLES = 256
 
-_carlitz_cache: "OrderedDict[Tuple[Fraction, int], List[Fraction]]" = OrderedDict()
 _cache_lock = threading.Lock()
 
 
+@lru_cache(maxsize=CARLITZ_CACHE_TABLES)
+def _carlitz_table(q: Fraction, c: int) -> List[Fraction]:
+    # the number table of one base, which _carlitz_values grows in place
+    return [Fraction(1)]
+
+
 def _carlitz_values(nmax: int, ctx: QContext) -> List[Fraction]:
-    key = (ctx.q, ctx.c)
     with _cache_lock:
-        table = _carlitz_cache.get(key)
-        if table is None:
-            table = _carlitz_cache[key] = [Fraction(1)]
-            if len(_carlitz_cache) > CARLITZ_CACHE_TABLES:
-                _carlitz_cache.popitem(last=False)
-        else:
-            _carlitz_cache.move_to_end(key)
+        table = _carlitz_table(ctx.q, ctx.c)
         if len(table) <= nmax:
             Q = ctx.q ** ctx.c
             qpow = [Q ** l for l in range(nmax + 2)]

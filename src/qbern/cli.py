@@ -13,9 +13,10 @@ yields no checks, and when --out cannot be written.  On the symmetry grids
 (thm1, thm2, thm3, eq20) --q pins one (q, lambda) point, so --samples or
 --seed together with --q, and --lambda without --q, are usage errors.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
-byte-stable for a fixed config and seed), or CSV: one row per item, except
-the symmetry grids (one row per item and sigma) and the oracle (one row
-per level N).
+byte-stable for a fixed config and seed), or CSV built from that JSON: a
+suite with one row per item (eq12, eq16, series-factor, stirling-mu1) has
+the header `suite` followed by its JSON item's fields; the symmetry grids
+write one row per item and sigma, the oracle one row per level N.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ _READS: Dict[Tuple[str, str], Dict[str, object]] = {
     ("compute", "kernel"): {"weights": REQUIRED, "i": REQUIRED, "t": REQUIRED, "q": REQUIRED,
                             "b": 1},
     ("compute", "classical"): {"n": REQUIRED, "x": None},
-    ("compute", "series"): {"n": REQUIRED, "x": REQUIRED, "lam": REQUIRED, "variant": "kim",
-                            "order": None},
+    ("compute", "series"): {"n": REQUIRED, "x": REQUIRED, "lam": REQUIRED, "variant": "kim"},
     ("verify", "thm1"): dict(_GRID, order=3),
     **{("verify", what): dict(_GRID, m_max=3) for what in ("thm2", "thm3", "eq20")},
     ("verify", "eq12"): {"samples": 200, "seed": 0},
@@ -172,8 +172,8 @@ def _check_flags(ns: argparse.Namespace, rest: List[str]) -> None:
             setattr(ns, dest, default)
 
 
-Document = Tuple[dict, Tuple[str, ...], Tuple[Tuple[object, ...], ...], List[str], bool]
-# (json_dict, csv_header, csv_rows, text_lines, failed)
+Document = Tuple[dict, List[str], bool]
+# (json_dict, text_lines, failed)
 
 
 def _param(value: object) -> object:
@@ -203,12 +203,10 @@ def _run_compute(cfg: argparse.Namespace) -> Document:
             rendered = rat_str(bernoulli.classical_poly(cfg.n, cfg.x))
     else:  # series
         fn = series.kim_degenerate if cfg.variant == "kim" else series.carlitz_degenerate
-        rendered = rat_str(fn(cfg.n, cfg.x, cfg.lam, cfg.order))
+        rendered = rat_str(fn(cfg.n, cfg.x, cfg.lam))
 
     json_dict = {"command": "compute", "what": what, "params": params, "value": rendered}
-    header = ("what", "params", "value")
-    rows = ((what, json.dumps(params, sort_keys=True), rendered),)
-    return json_dict, header, rows, [rendered], False
+    return json_dict, [rendered], False
 
 
 def _run_verify(cfg: argparse.Namespace) -> Document:
@@ -236,7 +234,7 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
     if len(failures) > 5:
         lines.append(f"  ({len(failures) - 5} more failures left out)")
     lines.append(f"verdict: {doc['verdict']}")
-    return doc, suite.csv_header, suite.csv_rows, lines, bool(failures)
+    return doc, lines, bool(failures)
 
 
 def _run_oracle(cfg: argparse.Namespace) -> Document:
@@ -249,18 +247,53 @@ def _run_oracle(cfg: argparse.Namespace) -> Document:
     ]
     lines += [f"  N={row['N']} valuation={row['valuation']}" for row in doc["rows"]]
     lines.append(f"monotone: {json.dumps(doc['monotone'])}")
-    return doc, rep.csv_header, rep.csv_rows, lines, not rep.ok
+    return doc, lines, not rep.ok
+
+
+_ORACLE_POINT = ("family", "p", "q", "lambda", "n", "x0")
+
+
+def _csv_table(doc: dict) -> List[Sequence[object]]:
+    """The CSV rows of a JSON report, header first: one layout per report shape."""
+    if "command" in doc:                          # compute: one row
+        return [("what", "params", "value"),
+                (doc["what"], json.dumps(doc["params"], sort_keys=True), doc["value"])]
+    if "family" in doc:                           # an oracle: one row per level N
+        point = [doc[key] for key in _ORACLE_POINT]
+        return [(*_ORACLE_POINT, "N", "valuation", "monotone"),
+                *((*point, row["N"], row["valuation"], doc["monotone"]) for row in doc["rows"])]
+    tag = doc["suite"].removeprefix("verify-")
+    items = doc["items"]
+    if "values" not in items[0]:                  # a flat suite: one row per item, None -> ""
+        return [("suite", *items[0]), *((tag, *item.values()) for item in items)]
+    # a symmetry grid: one row per item and sigma
+    table: List[Sequence[object]] = [
+        ("suite", "weights", "m_or_order", "x", "q", "lambda", "sigma", "value", "verdict")]
+    for item in items:
+        cell = item["params"]
+        head = (tag, ",".join(map(str, item["weights"])), cell.get("m", cell.get("order")),
+                cell["x"], cell["q"], cell["lambda"])
+        table.extend((*head, ",".join(map(str, entry["sigma"])), _flat(entry["value"]),
+                      item["verdict"]) for entry in item["values"])
+    return table
+
+
+def _flat(value) -> str:
+    """Collapse a report value (scalar, list, or pair dict) to one CSV cell."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ";".join(value)
+    return ";".join(f"{k}={v}" for k, v in sorted(value.items()))
 
 
 def _render(doc: Document, fmt: str) -> str:
-    json_dict, header, rows, text_lines, _ = doc
+    json_dict, text_lines, _ = doc
     if fmt == "json":
         return json.dumps(json_dict, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(_csv_table(json_dict))
         return buf.getvalue()
     return "\n".join(text_lines) + "\n"
 
@@ -296,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     else:
         sys.stdout.write(payload)
-    return 1 if doc[4] else 0
+    return 1 if doc[2] else 0
 
 
 def entry() -> None:

@@ -203,22 +203,18 @@ def kim_series(x: RationalLike, lam: RationalLike, order: int) -> TruncSeries:
     return quotient * binom_series(lam, x / lam, order)
 
 
-def _coefficient(gen, n: int, x: RationalLike, lam: RationalLike, order: int | None) -> Fraction:
-    # n! times the t^n coefficient of the generating series gen(x, lam, order)
+def _coefficient(gen, n: int, x: RationalLike, lam: RationalLike) -> Fraction:
+    # n! times the t^n coefficient of gen(x, lam, n), which is exact through t^n
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if order is None:
-        order = n + 4                              # headroom against truncation slips
-    if order < n:
-        raise ValueError(f"order {order} cannot resolve coefficient {n}")
-    return factorial(n) * gen(x, lam, order)[n]
+    return factorial(n) * gen(x, lam, n)[n]
 
 
-def carlitz_degenerate(n: int, x: RationalLike, lam: RationalLike, order: int | None = None) -> Fraction:
+def carlitz_degenerate(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     """n! times the t^n coefficient of the plain degenerate generating series."""
-    return _coefficient(carlitz_series, n, x, lam, order)
+    return _coefficient(carlitz_series, n, x, lam)
 
 
-def kim_degenerate(n: int, x: RationalLike, lam: RationalLike, order: int | None = None) -> Fraction:
+def kim_degenerate(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     """n! times the t^n coefficient of the fully degenerate generating series."""
-    return _coefficient(kim_series, n, x, lam, order)
+    return _coefficient(kim_series, n, x, lam)

@@ -3,6 +3,8 @@
 Each suite sweeps a deterministic grid (the seed fully fixes every random
 rational), evaluates an exact identity at every cell, and returns a
 SuiteResult whose JSON form is byte-stable for a fixed configuration.
+Suites and oracle reports hold data only; the CLI renders every report
+format from that JSON form.
 Identity evaluators are reached through their modules rather than by
 from-imports, so a test can swap one out and watch the verdict flip.
 """
@@ -69,13 +71,11 @@ def q_lam_points(samples: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """One suite's outcome: one JSON item per check, which the verdict is read off, and CSV rows."""
+    """One suite's outcome: one JSON item per check, which the verdict and all reports read."""
 
     name: str
     params: Dict[str, object]
     items: Tuple[Dict[str, object], ...]
-    csv_header: Tuple[str, ...]
-    csv_rows: Tuple[Tuple[object, ...], ...]
 
     def __post_init__(self):
         # an empty sweep would pass on no evidence at all
@@ -132,16 +132,6 @@ class OracleReport:
             "monotone": self.monotone,
         }
 
-    @property
-    def csv_header(self) -> Tuple[str, ...]:
-        return ("family", "p", "q", "lambda", "n", "x0", "N", "valuation", "monotone")
-
-    @property
-    def csv_rows(self) -> Tuple[Tuple[object, ...], ...]:
-        doc = self.to_json_dict()
-        point = tuple(doc[key] for key in ("family", "p", "q", "lambda", "n", "x0"))
-        return tuple((*point, row["N"], row["valuation"], self.monotone) for row in doc["rows"])
-
 
 # -- symmetry suites -----------------------------------------------------------
 
@@ -166,14 +156,6 @@ def thm_suite(
     degrees = [m_max] if kind == "thm1" else range(m_max + 1)
     items = tuple(symmetry.verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
                   for w in weights_list for x in xs for q, lam in points for m in degrees)
-    degree_key = "order" if kind == "thm1" else "m"
-    rows: List[Tuple[object, ...]] = []
-    for item in items:
-        cell = item["params"]
-        head = (kind, ",".join(map(str, item["weights"])),
-                cell[degree_key], cell["x"], cell["q"], cell["lambda"])
-        rows.extend((*head, ",".join(map(str, entry["sigma"])), _flat(entry["value"]),
-                     item["verdict"]) for entry in item["values"])
     return SuiteResult(
         name=f"verify-{kind}",
         params={
@@ -185,19 +167,7 @@ def thm_suite(
             "seed": seed,
         },
         items=items,
-        csv_header=("suite", "weights", "m_or_order", "x", "q", "lambda", "sigma", "value",
-                    "verdict"),
-        csv_rows=tuple(rows),
     )
-
-
-def _flat(value) -> str:
-    """Collapse a report value (scalar, list, or pair dict) to one CSV cell."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        return ";".join(value)
-    return ";".join(f"{k}={v}" for k, v in sorted(value.items()))
 
 
 # -- q-number lemma suites -----------------------------------------------------
@@ -233,12 +203,6 @@ def qlemma_suite(which: str, samples: int = 200, seed: int = 0) -> SuiteResult:
         name=f"verify-{which}",
         params={"which": which, "samples": samples, "seed": seed},
         items=tuple(items),
-        csv_header=("suite", "index", "q", "c0", "arg1", "arg2", "arg3", "lhs", "rhs", "equal"),
-        csv_rows=tuple(
-            (which, it["index"], it["q"], it["c0"],
-             *((f"c={it['c']}", it["z"]) if which == "eq12" else (it["a"], it["b"])),
-             "", it["lhs"], it["rhs"], it["equal"])
-            for it in items),
     )
 
 
@@ -270,8 +234,6 @@ def series_factor_suite(order: int = 12, samples: int = 20, seed: int = 0) -> Su
         name="verify-series-factor",
         params={"order": order, "samples": samples, "seed": seed},
         items=tuple(items),
-        csv_header=("suite", "index", "lambda", "x", "order", "equal", "first_mismatch"),
-        csv_rows=tuple(("series-factor", *item.values()) for item in items),  # None -> ""
     )
 
 
@@ -303,8 +265,6 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
         name="verify-stirling-mu1",
         params={"n_max": n_max, "samples": samples, "seed": seed},
         items=tuple(items),
-        csv_header=("suite", "index", "lambda", "x", "n", "lhs", "rhs", "equal"),
-        csv_rows=tuple(("stirling-mu1", *item.values()) for item in items),
     )
 
 

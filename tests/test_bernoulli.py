@@ -87,9 +87,10 @@ class TestCarlitzNumbers:
         expected = carlitz_numbers(4, first)
         for k in range(2, bound + 50):               # pushes `first` out
             carlitz_numbers(2, QContext(Fraction(k)))
-            assert len(bernoulli._carlitz_cache) <= bound
-        assert (first.q, first.c) not in bernoulli._carlitz_cache
+            assert bernoulli._carlitz_table.cache_info().currsize <= bound
+        misses = bernoulli._carlitz_table.cache_info().misses
         assert carlitz_numbers(4, first) == expected
+        assert bernoulli._carlitz_table.cache_info().misses == misses + 1
 
 
 class TestCarlitzPolynomials:

@@ -144,6 +144,8 @@ class TestExitCodes:
         (["verify", "eq20", "--weights", "2,3", "--m", "1", "--m-max", "1"], "does not use --m"),
         (["verify", "eq12", "--p=4", "--samples", "2", "--seed=1", "--q=-3/2"],
          "`verify eq12` does not use --q, --p"),
+        (["compute", "series", "--n", "2", "--x", "0", "--lambda", "1", "--order", "5"],
+         "`compute series` does not use --order"),
     ])
     def test_flag_without_effect_is_usage_error(self, capsys, argv, message):
         # a flag the run would ignore must not pass silently
@@ -350,6 +352,42 @@ class TestOutputPlumbing:
         )
         assert len(rows) == 6
 
+    def test_symmetry_csv_one_row_per_sigma(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "eq20", "--weights", "1,2", "--m-max", "1", "--x", "0",
+            "--q", "2", "--lambda", "1", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        # 2 degrees x 2 permutations
+        assert len(rows) == 4
+        assert all(row[0] == "eq20" for row in rows)
+
+    def test_oracle_csv_rows_per_level(self, capsys):
+        code, out, _ = run(capsys, "oracle", "mu1", "--n", "1", "--nmax", "3", "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(rows) == 3
+        assert header[-1] == "monotone"
+
+    @pytest.mark.parametrize("argv", [
+        ["eq12", "--samples", "4", "--seed", "2"],
+        ["eq16", "--samples", "4", "--seed", "2"],
+        ["series-factor", "--order", "3", "--samples", "2"],
+        ["stirling-mu1", "--n", "2", "--samples", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_flat_suite_csv_is_its_json_items(self, capsys, argv):
+        # header: suite, then the item's keys; one row per item, None as an empty field
+        _, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        items = json.loads(out)["items"]          # keys sorted, as the JSON report writes them
+        code, out, _ = run(capsys, "verify", *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[0] == "suite"
+        assert sorted(header[1:]) == sorted(items[0])
+        assert rows == [[argv[0], *("" if item[key] is None else str(item[key])
+                                    for key in header[1:])] for item in items]
+
 
 def _corrupt_thm2(monkeypatch):
     real = symmetry.thm2_expr
@@ -400,11 +438,11 @@ _REPORT_PINS = [
     ("verify eq12 --samples 5 --seed 2", None, {
         "text": "2ba0e98514427b868a10772c1a3cb0597e0190e237bfe36c5fec183dc9bdcd21",
         "json": "a28d63624a4c553093c3431e02f67bd739851f7d243452a281e9236e27da1f08",
-        "csv": "d6061dbe98d8fae22a42881226f36065a265504f81b10a5cc670331f8d14926f"}),
+        "csv": "2247cca1f1c8d6eaa2c222295380d363eeda422c96120a9d809f4e72276fb923"}),
     ("verify eq16 --samples 5 --seed 2", None, {
         "text": "43afa8819f435973207d7d765b5716cf94092df617df99f50a789aed1eecb624",
         "json": "1342572d8a0acde3bf4e728ef36d0367a060148410596106b5edb43d72d17c11",
-        "csv": "3b9d3a6aa06f7747c082c243355ae7f66c0a65fc48ee1375fe520d172bdc2e17"}),
+        "csv": "264a3c9170bfd424a88c2e00683992164ce990106b725f58abf45b90ecde90a2"}),
     ("verify series-factor --order 4 --samples 3 --seed 1", None, {
         "text": "42e3e17f5a1e9b5cb0f654b6f4d27b5fa7c84384f41e0953038c7e214a51fe37",
         "json": "0fee58def7c5a6c73fb16fd719a827cb9445873c17f4c8d944cb49fec147d8fa",
@@ -432,7 +470,7 @@ _REPORT_PINS = [
     ("verify eq12 --samples 6 --seed 2", _corrupt_eq12, {
         "text": "00204d09a1d22131a502da910eadca2affb14d5bf4ce41cf31c0fc8654440151",
         "json": "fc84af26707481a2a963485a25221763acb7060032c9639fbae452a6c673e1ae",
-        "csv": "96714628d6a3ec84e5f72e73c30de39f90758a98eb3d13d6e44676f1ab1e9b5f"}),
+        "csv": "5d52a8db90d801c989be4479b9ea6b929b49e76b6879e3eff39f5261b41f39e0"}),
     ("verify series-factor --order 4 --samples 3 --seed 1", _corrupt_series_factor, {
         "text": "6be2c529a1a4f27347d9257a08769bd2b1ff8d5ff6b391564458c3616f700efa",
         "json": "a348ef6feaedf50814a9a8202f26c5c33ec9a5c1b7f99fe3fdfa5d3abe649158",

@@ -1,6 +1,7 @@
 """Truncated power series engine and the two degenerate Bernoulli families."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,9 +151,12 @@ class TestCarlitzFamily:
         assert carlitz_degenerate(2, 3, Fraction(1)) == 6
 
     def test_order_headroom_is_irrelevant(self):
-        for extra in (0, 3, 7):
-            v = carlitz_degenerate(3, 1, Fraction(2, 3), order=3 + 4 + extra)
-            assert v == carlitz_degenerate(3, 1, Fraction(2, 3))
+        # each family's series at order n is already exact through t^n
+        x, lam = 1, Fraction(2, 3)
+        for gen, fn in ((carlitz_series, carlitz_degenerate), (kim_series, kim_degenerate)):
+            for n in range(5):
+                for extra in (0, 3, 7):
+                    assert factorial(n) * gen(x, lam, n + extra)[n] == fn(n, x, lam)
 
     def test_zero_deformation_rejected(self):
         with pytest.raises(ZeroLambda):
@@ -192,6 +196,4 @@ class TestFactorIdentity:
         n, x, lam = 5, 1, Fraction(2, 5)
         order = n + 4
         prod = log_factor_series(lam, order) * carlitz_series(x, lam, order)
-        from math import factorial
-
         assert factorial(n) * prod[n] == kim_degenerate(n, x, lam)

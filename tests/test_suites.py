@@ -54,12 +54,6 @@ class TestThmSuite:
         assert doc["verdict"] == "pass"
         assert doc["items"][0]["kind"] == "thm2"
 
-    def test_csv_one_row_per_sigma(self):
-        res = thm_suite("eq20", [(1, 2)], m_max=1, xs=(0,), samples=1, seed=0)
-        # 2 degrees x 2 permutations
-        assert len(res.csv_rows) == 4
-        assert res.csv_rows[0][0] == "eq20"
-
     def test_thm1_uses_single_order_cell(self):
         res = thm_suite("thm1", [(1, 2)], m_max=3, xs=(0,), samples=2, seed=1)
         assert res.ok
@@ -160,8 +154,3 @@ class TestOracleReport:
         # one row cannot show growth, so it must not be reported as monotone
         with pytest.raises(ValueError, match="nmax"):
             oracle_report("carlitz", n=1, x0=0, p=5, nmax=nmax)
-
-    def test_csv_rows_per_level(self):
-        rep = oracle_report("mu1", n=1, x0=0, p=5, nmax=3)
-        assert len(rep.csv_rows) == 3
-        assert rep.csv_header[-1] == "monotone"
