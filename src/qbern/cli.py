@@ -9,9 +9,10 @@ integer (--q -3) works either way.
 Exit status: 0 when everything asked for passed (or a value was printed),
 1 when a verification suite or oracle found a mismatch, 2 on usage errors
 (a flag the chosen subcommand does not use is one), on a selection that
-yields no checks, and when --out cannot be written.  On the symmetry grids
-(thm1, thm2, thm3, eq20) --q pins one (q, lambda) point, so --samples or
---seed together with --q, and --lambda without --q, are usage errors.
+yields no checks, and when the report cannot be written to --out or to
+stdout.  On the symmetry grids (thm1, thm2, thm3, eq20) --q pins one
+(q, lambda) point, so --samples or --seed together with --q, and --lambda
+without --q, are usage errors.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
 byte-stable for a fixed config and seed), or CSV built from that JSON: a
 suite with one row per item (eq12, eq16, series-factor, stirling-mu1) has
@@ -26,6 +27,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -313,24 +315,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc = _run_verify(ns)
         else:
             doc = _run_oracle(ns)
-    except UsageError as exc:
-        print(f"qbern: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"qbern: error: {exc}", file=sys.stderr)
         return 2
     payload = _render(doc, ns.fmt)
-    if ns.out:
-        try:
+    try:
+        if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-        except OSError as exc:
-            print(f"qbern: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
+        else:
+            sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"qbern: error: {exc}", file=sys.stderr)
+        return 2
     return 1 if doc[2] else 0
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()             # a buffered report meets a full device only here
+    except OSError as exc:
+        if code != 2:                  # main has not reported a failed write yet
+            print(f"qbern: error: {exc}", file=sys.stderr)
+            code = 2
+        # Drop the unwritten bytes: the interpreter's own flush at exit
+        # would fail on them again and turn the status into 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -307,7 +307,7 @@ def oracle_report(
         if family == "carlitz" and lam != 0:
             raise ValueError("the carlitz family is the lam = 0 case; it takes no lambda")
         qv = as_rational(q) if q is not None else Fraction(1 + p)
-        params = PadicParams(q=qv, lam=lam, p=p, Nmax=nmax)
+        params = PadicParams(q=qv, lam=lam, p=p)
         ctx = QContext(qv)
         if family == "carlitz":
             sums = [(N, padic.riemann_sum_carlitz(n, x0, params, N)) for N in range(1, nmax + 1)]

@@ -16,6 +16,7 @@ expression families and the closed-form-vs-expansion cross check.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -61,7 +62,7 @@ class WeightVector:
     w: Tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.w)
+        w = tuple(operator.index(x) for x in self.w)
         if not w:
             raise ValueError("need at least one weight")
         if any(x < 1 for x in w):
@@ -95,7 +96,7 @@ class SigmaView:
     P: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        sigma = tuple(int(s) for s in self.sigma)
+        sigma = tuple(operator.index(s) for s in self.sigma)
         n = self.base.n
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"{sigma} is not one-line notation for a permutation of 1..{n}")
@@ -139,12 +140,13 @@ def kernel_K(
     q = as_rational(q)
     if q in (0, 1, -1):
         raise ValueError(f"base q must avoid 0 and the roots of unity +-1, got {q}")
+    i, t = operator.index(i), operator.index(t)
     if i < 0 or t < 0:
         raise ValueError("i and t must be nonnegative")
-    b = int(b)
+    b = operator.index(b)
     if b < 1:
         raise ValueError(f"base exponent must be a positive integer, got {b}")
-    u = tuple(int(x) for x in u)
+    u = tuple(operator.index(x) for x in u)
     if any(x < 1 for x in u):
         raise ValueError(f"box weights must be positive integers, got {u}")
     return _kernel_box_sum(u, i, t, q, b)

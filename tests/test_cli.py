@@ -168,14 +168,39 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qbern: error:")
 
-    def test_python_dash_m_runs_the_cli(self):
+    @staticmethod
+    def _env():
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(qbern.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def test_python_dash_m_runs_the_cli(self):
         proc = subprocess.run([sys.executable, "-m", "qbern"], capture_output=True,
-                              text=True, env=env, timeout=60)
+                              text=True, env=self._env(), timeout=60)
         assert proc.returncode == 2
         assert "usage: qbern" in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("args", [
+        ["compute", "qbern", "--n", "2", "--q", "2"],
+        ["verify", "thm2", "--weights", "2,3", "--m-max", "1", "--format", "json"],  # > 8 KB
+    ])
+    def test_unwritable_stdout_is_usage_error(self, args, unbuffered):
+        # a full device behind stdout fails like an unwritable --out, with one
+        # error line and no traceback, whether stdout is buffered or not
+        env = self._env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qbern", *args], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("qbern: error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qbern.padic as padic
 from qbern import (
     INF,
     PadicParams,
@@ -13,6 +14,7 @@ from qbern import (
     convergence_report,
     degenerate_qpoly,
     kim_degenerate,
+    oracle_report,
     riemann_sum_carlitz,
     riemann_sum_degenerate,
     riemann_sum_mu1,
@@ -20,6 +22,18 @@ from qbern import (
 )
 
 P5 = PadicParams(q=Fraction(6), p=5)
+
+
+def literal_riemann_sum(n, x0, q, lam, count):
+    """(1/[count]_q) sum_{y<count} prod_{i<n}([x0+y]_q - i*lam) q^y, term by term."""
+    bracket = lambda e: (1 - q**e) / (1 - q)
+    total = Fraction(0)
+    for y in range(count):
+        term = q**y
+        for i in range(n):
+            term *= bracket(x0 + y) - i * lam
+        total += term
+    return total / bracket(count)
 
 
 class TestValuation:
@@ -50,7 +64,7 @@ class TestValuation:
 
 class TestPadicParams:
     def test_defaults(self):
-        assert (P5.p, P5.Nmax, P5.lam) == (5, 5, 0)
+        assert (P5.p, P5.lam) == (5, 0)
 
     def test_rejects_even_prime(self):
         with pytest.raises(ValueError):
@@ -83,11 +97,7 @@ class TestCarlitzSums:
     @pytest.mark.parametrize("n,x0", [(1, 0), (2, 1), (3, 2)])
     def test_matches_direct_loop(self, n, x0, N):
         # the closed-form moments must equal the sum written out literally
-        q = P5.q
-        count = 5**N
-        bracket = lambda e: (1 - q**e) / (1 - q)
-        direct = sum(bracket(x0 + y) ** n * q**y for y in range(count))
-        direct /= bracket(count)
+        direct = literal_riemann_sum(n, x0, P5.q, 0, 5**N)
         assert riemann_sum_carlitz(n, x0, P5, N) == direct
 
     def test_first_moment_convergence(self):
@@ -104,8 +114,6 @@ class TestCarlitzSums:
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             riemann_sum_carlitz(1, 0, P5, 0)
-        with pytest.raises(ValueError):
-            riemann_sum_carlitz(1, 0, P5, 6)
 
     def test_rejects_bad_x0(self):
         with pytest.raises(ValueError):
@@ -126,17 +134,30 @@ class TestDegenerateSums:
     @pytest.mark.parametrize("N", [1, 2])
     def test_matches_direct_loop(self, N):
         params = PadicParams(q=Fraction(6), lam=Fraction(1), p=5)
-        q, lam = params.q, params.lam
-        count = 5**N
-        bracket = lambda e: (1 - q**e) / (1 - q)
-        direct = Fraction(0)
-        for y in range(count):
-            term = Fraction(1)
-            for i in range(3):
-                term *= bracket(1 + y) - i * lam
-            direct += term * q**y
-        direct /= bracket(count)
+        direct = literal_riemann_sum(3, 1, params.q, params.lam, 5**N)
         assert riemann_sum_degenerate(3, 1, params, N) == direct
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(-6, 6).filter(lambda a: a != 0),
+        st.integers(1, 12),
+        st.integers(-12, 12),
+        st.integers(1, 12),
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.integers(1, 2),
+    )
+    def test_expansion_matches_term_by_term_loop(self, p, a, da, b, db, n, x0, N):
+        # q = 1 + p*a/da has v_p(1-q) >= 1 and lam = b/db is p-integral
+        assume(da % p and db % p)
+        q, lam = 1 + Fraction(p * a, da), Fraction(b, db)
+        count = p**N
+        params = PadicParams(q=q, lam=lam, p=p)
+        assert riemann_sum_degenerate(n, x0, params, N) == literal_riemann_sum(
+            n, x0, q, lam, count)
+        assert riemann_sum_carlitz(n, x0, params, N) == literal_riemann_sum(
+            n, x0, q, 0, count)
 
     def test_convergence_to_transform_value(self):
         params = PadicParams(q=Fraction(6), lam=Fraction(5), p=5)
@@ -145,6 +166,29 @@ class TestDegenerateSums:
             vp(riemann_sum_degenerate(2, 0, params, N) - target, 5) for N in range(1, 6)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestGeometricSums:
+    def test_cache_is_bounded(self):
+        # a level-1 sweep over many q must not grow the cache without limit
+        for k in range(1, 301):
+            riemann_sum_carlitz(1, 0, PadicParams(q=Fraction(1 + 5 * k), p=5), 1)
+        info = padic._geometric_sum.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("x0", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family,lam", [("carlitz", 0), ("degenerate", 1), ("degenerate", 5)])
+    def test_short_count_mutant_is_caught(self, monkeypatch, family, lam, n, x0):
+        # summing one term too few shifts the limit, so valuations stop growing
+        def short(q, r, count):
+            qr = q**r
+            return (qr ** (count - 1) - 1) / (qr - 1)
+
+        assert oracle_report(family, n, x0=x0, lam=lam, p=5, nmax=4).monotone
+        monkeypatch.setattr(padic, "_geometric_sum", short)
+        assert not oracle_report(family, n, x0=x0, lam=lam, p=5, nmax=4).monotone
 
 
 class TestUniformSums:

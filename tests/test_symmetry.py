@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import qbern.symmetry as symmetry
 from qbern import (
     CapExceeded,
+    PadicParams,
     QContext,
     SigmaView,
     WeightVector,
@@ -17,15 +18,35 @@ from qbern import (
     degenerate_qpoly,
     kernel_K,
     qnum,
+    riemann_sum_carlitz,
     thm1_coeffs,
     thm2_expr,
     thm3_expr,
     verify,
+    vp,
 )
 
 
 def views_of(*w):
     return {v.sigma: v for v in WeightVector(tuple(w)).views()}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify("thm2", (2.5, 3), 1, q=2),
+    lambda: WeightVector((2, Fraction(3))),
+    lambda: SigmaView(WeightVector((2, 3)), (1.0, 2)),
+    lambda: kernel_K((2.7,), 0, 0, 3),
+    lambda: kernel_K((2,), 1.5, 0, 3),
+    lambda: kernel_K((2,), 1, 0.5, 3),
+    lambda: kernel_K((2,), 0, 0, 3, b=Fraction(3, 2)),
+    lambda: vp(10, 5.5),
+    lambda: riemann_sum_carlitz(1, 0, PadicParams(q=Fraction(6), p=5), 1.0),
+], ids=["verify-weights", "weight-fraction", "sigma", "kernel-u", "kernel-i", "kernel-t",
+        "kernel-b", "vp-p", "riemann-N"])
+def test_integer_parameters_reject_floats(call):
+    # truncating 2.5 to 2 would check a different identity than the one asked for
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestWeightVector:
