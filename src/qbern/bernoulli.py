@@ -10,16 +10,16 @@ polynomials are
 
     b_n(y) = sum_l C(n,l) Q^{l*y} b_l [y]_Q^{n-l},        Q = q^c,
 
-and the fully degenerate version is their Stirling transform
+and the fully degenerate version is their exactnum.stirling_transform
 
-    b_{n,L}(y) = sum_l stirling1(n,l) L^{n-l} b_l(y),
+    b_{n,L}(y) = sum_l S1(n,l) L^{n-l} b_l(y),
 
 which at L = 0 collapses to b_n(y) (0**0 == 1).  Number tables are
 memoized per (q, c), up to CARLITZ_CACHE_TABLES of them, because symmetry
 verification reuses the same bases thousands of times.
 
 A row of values is summed over one common denominator: the number table,
-Q^y, [y]_Q and L are split into integer numerators and denominators, each
+Q^y and [y]_Q are split into integer numerators and denominators, each
 value is an integer sum over their product, and one Fraction is built per
 value.  No Fraction arithmetic (and no gcd) happens inside the sums.
 """
@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import List, Tuple
 
-from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling1
+from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling_transform
 from .qcore import QContext, _int_exponent, qnum
 
 __all__ = [
@@ -129,22 +129,12 @@ def degenerate_qpoly(m: int, y: RationalLike, lam_deg: RationalLike, ctx: QConte
     """Fully degenerate q-Bernoulli polynomial: Stirling transform of b_l(y).
 
     ``lam_deg`` is the (already scaled) deformation parameter; 0 is allowed
-    and reproduces the plain q-Bernoulli polynomial.  With lam_deg = g/h and
-    L the lcm of the denominators of b_l(y), the transform is one integer
-    sum over L h^m.
+    and reproduces the plain q-Bernoulli polynomial.  The transform of the
+    row b_0(y), ..., b_m(y) is exactnum.stirling_transform.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    lam_deg = as_rational(lam_deg)
-    vals = carlitz_poly_values(m, y, ctx)
-    g, h = lam_deg.numerator, lam_deg.denominator
-    L = lcm(*(v.denominator for v in vals))
-    acc = 0
-    for l, v in enumerate(vals):
-        s = stirling1(m, l)
-        if s:
-            acc += s * g ** (m - l) * h ** l * v.numerator * (L // v.denominator)
-    return Fraction(acc, L * h ** m)
+    return stirling_transform(carlitz_poly_values(m, y, ctx), lam_deg)
 
 
 _classical_cache: List[Fraction] = [Fraction(1)]

@@ -43,6 +43,21 @@ class UsageError(Exception):
     """Bad or missing arguments discovered after parsing."""
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's own writer drops an OSError; --help to a full device must fail
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
+def _error(message: object) -> int:
+    """Print one error line to stderr and return status 2, even if stderr is unwritable."""
+    try:
+        print(f"qbern: error: {message}", file=sys.stderr)
+    except OSError:
+        pass                           # the status is then the only report left
+    return 2
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -119,7 +134,7 @@ _FLAGS = [_flag(dest) for dest in _SPECS]
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; callers must not modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbern",
         description="Exact q-Bernoulli values, identity verification suites, "
                     "and p-adic convergence oracles.",
@@ -307,6 +322,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:                     # argparse handles usage/help itself
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
+    except OSError as exc:                        # --help could not be written
+        return _error(exc)
     try:
         _check_flags(ns, rest)
         if ns.command == "compute":
@@ -316,8 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             doc = _run_oracle(ns)
     except (UsageError, ValueError, ZeroDivisionError) as exc:
-        print(f"qbern: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     payload = _render(doc, ns.fmt)
     try:
         if ns.out:
@@ -326,20 +342,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(payload)
     except OSError as exc:
-        print(f"qbern: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     return 1 if doc[2] else 0
 
 
 def entry() -> None:
     code = main()
-    try:
-        sys.stdout.flush()             # a buffered report meets a full device only here
-    except OSError as exc:
-        if code != 2:                  # main has not reported a failed write yet
-            print(f"qbern: error: {exc}", file=sys.stderr)
-            code = 2
-        # Drop the unwritten bytes: the interpreter's own flush at exit
-        # would fail on them again and turn the status into 120.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()             # a buffered stream meets a full device only here
+        except OSError as exc:
+            if stream is sys.stdout and code != 2:   # main has not reported a failed write yet
+                code = _error(exc)
+            # Drop the unwritten bytes: the interpreter's own flush at exit
+            # would fail on them again and turn the status into 120.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)

@@ -5,7 +5,8 @@ Everything in this package computes with arbitrary-precision rationals
 supplies the shared scalar toolbox:
 
 * generalized binomial coefficients ``binom(e, k)`` for rational ``e``,
-* signed Stirling numbers of the first kind ``stirling1(n, m)``,
+* signed Stirling numbers of the first kind ``stirling1(n, m)`` and
+  their transform ``stirling_transform(vals, lam)`` of a row of values,
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
   which takes its exact limits such as ``q -> 1``.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence, Tuple, Union
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "rat_str",
     "binom",
     "stirling1",
+    "stirling_transform",
     "RatFuncQ",
     "ratfunc_limit",
 ]
@@ -102,6 +104,25 @@ def stirling1(n: int, m: int) -> int:
     if m < 0 or m > n:
         return 0
     return _stirling1_row(n)[m]
+
+
+def stirling_transform(vals: Sequence[Fraction], lam: RationalLike) -> Fraction:
+    """sum_l stirling1(m, l) lam^(m-l) vals[l], with m = len(vals) - 1.
+
+    With lam = g/h and L the lcm of the denominators of vals, one integer
+    sum over L h^m and one Fraction.  stirling1 is read at call time.
+    """
+    if not vals:
+        raise ValueError("stirling_transform needs at least one value")
+    m = len(vals) - 1
+    g, h = as_rational(lam).as_integer_ratio()
+    L = lcm(*(v.denominator for v in vals))
+    acc = 0
+    for l, v in enumerate(vals):
+        s = stirling1(m, l)
+        if s:
+            acc += s * g ** (m - l) * h ** l * v.numerator * (L // v.denominator)
+    return Fraction(acc, L * h ** m)
 
 
 def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:

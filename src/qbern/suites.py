@@ -242,8 +242,8 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
 
     For each seeded (lam != 0, x) and n <= n_max the log-form degenerate
     value must equal sum_m S1(n, m) lam^(n-m) B_m(x) with B_m the
-    classical polynomial.  stirling1 is looked up on its module at call
-    time, so sign-convention mutations propagate into this check.
+    classical polynomial.  exactnum.stirling_transform reads stirling1 at
+    call time, so sign-convention mutations propagate into this check.
     """
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
@@ -252,11 +252,8 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
         x = sample_rational(rng)
         for n in range(n_max + 1):
             lhs = series.kim_degenerate(n, x, lam)
-            rhs = sum(
-                (exactnum.stirling1(n, m) * lam ** (n - m) * bernoulli.classical_poly(m, x)
-                 for m in range(n + 1)),
-                Fraction(0),
-            )
+            rhs = exactnum.stirling_transform(
+                [bernoulli.classical_poly(m, x) for m in range(n + 1)], lam)
             items.append({
                 "index": idx, "lambda": rat_str(lam), "x": rat_str(x), "n": n,
                 "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": lhs == rhs,

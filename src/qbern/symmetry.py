@@ -20,11 +20,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
-from .exactnum import RationalLike, as_rational, binom, rat_str, stirling1
+from .exactnum import RationalLike, as_rational, rat_str, stirling_transform
 from .qcore import QContext, qnum
 
 __all__ = [
@@ -45,7 +45,7 @@ DEFAULT_PERMUTATION_CAP = 6           # n! enumeration stays trivial up to here
 # Box sums kept by kernel_K.  A thm3 sweep over degrees, x and sigma asks
 # for the same (head, i, t, q, b) again and again: the seven n <= 3
 # acceptance fixtures at degrees 0..6 and two bases need 1176 distinct sums
-# for 11,700 calls, which this holds without evicting.
+# for 12,600 calls, which this holds without evicting.
 KERNEL_CACHE_SIZE = 4096
 
 VERIFY_KINDS = ("thm1", "thm2", "thm3", "eq20")
@@ -207,33 +207,24 @@ def thm3_expr(
 ) -> Fraction:
     """Stirling-and-kernel expansion of thm2_expr; identically equal to it.
 
-    sum over p <= m, s <= p of binom(p,s) S1(m,p) lam^(m-p) [W]_q^(s-1)
-    [v]_q^(p-s) beta_{s,q^W}(v x) K(u | p-s, s) with the kernel at base
-    exponent v.  Kept as a genuinely different evaluation route: it runs
-    through kernel_K so the cross check has teeth.
+    sum_p S1(m,p) lam^(m-p) T_p (exactnum.stirling_transform) of the
+    lam-free row T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s)
+    beta_{s,q^W}(v x) K(u | p-s, s), kernel at base exponent v.  Kept as a
+    genuinely different route: it runs through kernel_K, so eq20 has teeth.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
     x = as_rational(x)
-    lam = as_rational(lam)
     ctx_w = QContext(q, c=view.W)
     base = QContext(q)
     Wq = qnum(view.W, base)
     vq = qnum(view.v, base)
     beta = carlitz_poly_values(m, view.v * x, ctx_w)
-    total = Fraction(0)
-    for p in range(m + 1):
-        s1 = stirling1(m, p)
-        if s1 == 0:
-            continue
-        if lam == 0 and p != m:
-            continue                              # lam^(m-p) kills every other term
-        lam_pow = lam ** (m - p)
-        for s in range(p + 1):
-            kern = kernel_K(view.head, p - s, s, q, view.v)
-            total += binom(p, s) * s1 * lam_pow * Wq ** (s - 1) * vq ** (p - s) * beta[s] * kern
-    return total
+    row = [sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
+               * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1))
+           for p in range(m + 1)]
+    return stirling_transform(row, lam)
 
 
 def thm1_coeffs(

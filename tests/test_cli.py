@@ -169,10 +169,13 @@ class TestExitCodes:
         assert err.startswith("qbern: error:")
 
     @staticmethod
-    def _env():
+    def _env(unbuffered=""):
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(qbern.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
         return env
 
     def test_python_dash_m_runs_the_cli(self):
@@ -186,21 +189,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["compute", "qbern", "--n", "2", "--q", "2"],
         ["verify", "thm2", "--weights", "2,3", "--m-max", "1", "--format", "json"],  # > 8 KB
+        ["--help"],
+        ["verify", "eq12", "--help"],
     ])
     def test_unwritable_stdout_is_usage_error(self, args, unbuffered):
         # a full device behind stdout fails like an unwritable --out, with one
         # error line and no traceback, whether stdout is buffered or not
-        env = self._env()
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "qbern", *args], stdout=full,
-                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=self._env(unbuffered), timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("qbern: error:")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("args", [
+        ["verify", "eq12", "--samples", "2", "--p", "3"],     # rejected by qbern
+        ["verify", "eq12", "--bogus"],
+        ["verify", "eq12", "--samples", "x"],                 # rejected by argparse
+    ])
+    def test_usage_error_with_unwritable_stderr_exits_two(self, args, unbuffered):
+        # when the error line cannot be written, the status still says usage error
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qbern", *args],
+                                  stdout=subprocess.PIPE, stderr=full, text=True,
+                                  env=self._env(unbuffered), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

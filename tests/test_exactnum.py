@@ -15,6 +15,7 @@ from qbern import (
     ratfunc_limit,
     stirling1,
 )
+from qbern.exactnum import stirling_transform
 
 
 def falling(z, n):
@@ -99,6 +100,33 @@ class TestStirlingFirstKind:
         # sum_m S1(n, m) z^m reproduces the falling factorial
         total = sum(stirling1(n, m) * z**m for m in range(n + 1))
         assert total == falling(z, n)
+
+
+class TestStirlingTransform:
+    @given(
+        st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                 min_size=1, max_size=8),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=1, max_value=9),
+    )
+    def test_matches_term_by_term_sum(self, vals, g, h):
+        # one integer sum over a common denominator, against plain Fractions
+        lam = Fraction(g, h)
+        m = len(vals) - 1
+        expected = Fraction(0)
+        for l, v in enumerate(vals):
+            expected += stirling1(m, l) * lam ** (m - l) * v
+        assert stirling_transform(vals, lam) == expected
+
+    @given(rationals, rationals, st.integers(min_value=0, max_value=8))
+    def test_powers_become_the_falling_product(self, z, lam, m):
+        # the moments z^l go to prod_{i<m} (z - i lam)
+        expected = prod((z - i * lam for i in range(m)), start=Fraction(1))
+        assert stirling_transform([z**l for l in range(m + 1)], lam) == expected
+
+    def test_rejects_empty_row(self):
+        with pytest.raises(ValueError):
+            stirling_transform([], 1)
 
 
 class TestFalling:

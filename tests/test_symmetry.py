@@ -19,6 +19,7 @@ from qbern import (
     kernel_K,
     qnum,
     riemann_sum_carlitz,
+    stirling1,
     thm1_coeffs,
     thm2_expr,
     thm3_expr,
@@ -226,6 +227,23 @@ class TestKernelExpansion:
         lam = Fraction(1)
         for view in WeightVector((1, 2)).views():
             assert thm3_expr(view, 1, 1, lam, q) == thm2_expr(view, 1, 1, lam, q)
+
+
+class TestDeformationIdentity:
+    # lam enters both routes only through one Stirling transform of the
+    # lam-free row: expr(m, lam) = sum_l S1(m,l) lam^(m-l) expr(l, 0)
+    @pytest.mark.parametrize("expr", [thm2_expr, thm3_expr], ids=["thm2", "thm3"])
+    @pytest.mark.parametrize("weights", [(2, 3), (1, 2, 3), (2, 2, 3)])
+    def test_degree_values_are_the_transform_of_the_lam_free_row(self, expr, weights):
+        lams = (Fraction(0), Fraction(2, 5), Fraction(-3))
+        for view, q, x in itertools.product(WeightVector(weights).views(),
+                                            (Fraction(3), Fraction(-7, 3)), (0, 1)):
+            row = [expr(view, l, x, 0, q) for l in range(6)]
+            for lam, m in itertools.product(lams, range(6)):
+                expected = Fraction(0)
+                for l in range(m + 1):
+                    expected += stirling1(m, l) * lam ** (m - l) * row[l]
+                assert expr(view, m, x, lam, q) == expected, (view.sigma, q, x, lam, m)
 
 
 class TestCoefficientLists:
