@@ -33,7 +33,7 @@ from math import comb, lcm
 from typing import List, Tuple
 
 from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling_transform
-from .qcore import QContext, _int_exponent, qnum
+from .qcore import QContext, _int_exponent
 
 __all__ = [
     "carlitz_numbers",
@@ -98,7 +98,7 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
     e = _int_exponent(y, ctx.c)
     betas = _carlitz_values(nmax, ctx)
     qy = ctx.q ** e                    # Q^y with Q = q^c
-    bracket = qnum(y, ctx)
+    bracket = (1 - qy) / (1 - ctx.q ** ctx.c)
     D = lcm(*(b.denominator for b in betas))
     E = [b.numerator * (D // b.denominator) for b in betas]
     a = qy.numerator * bracket.denominator

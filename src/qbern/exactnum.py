@@ -33,7 +33,6 @@ __all__ = [
     "rat_str",
     "binom",
     "stirling1",
-    "stirling_transform",
     "RatFuncQ",
     "ratfunc_limit",
 ]
@@ -85,16 +84,12 @@ def binom(e: RationalLike, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _stirling1_row(n: int) -> Tuple[int, ...]:
-    # Row n of the signed triangle: S1(n+1, m) = S1(n, m-1) - n*S1(n, m).
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = []
-    for m in range(n + 1):
-        left = prev[m - 1] if 1 <= m <= n else 0
-        right = prev[m] if m <= n - 1 else 0
-        row.append(left - (n - 1) * right)
-    return tuple(row)
+    # Row n of the signed triangle, built up from row 0 without recursion
+    # (so any n works) by S1(j+1, m) = S1(j, m-1) - j*S1(j, m).
+    row = (1,)
+    for j in range(n):
+        row = tuple(left - j * right for left, right in zip((0,) + row, row + (0,)))
+    return row
 
 
 def stirling1(n: int, m: int) -> int:

@@ -27,7 +27,6 @@ from .exactnum import RationalLike, as_rational
 
 __all__ = [
     "INF",
-    "Valuation",
     "PadicParams",
     "vp",
     "riemann_sum_carlitz",

@@ -32,7 +32,6 @@ __all__ = [
     "series_factor_suite",
     "stirling_mu1_suite",
     "oracle_report",
-    "ORACLE_FAMILIES",
 ]
 
 ORACLE_FAMILIES = ("carlitz", "degenerate", "mu1")

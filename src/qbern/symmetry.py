@@ -37,16 +37,17 @@ __all__ = [
     "thm3_expr",
     "thm1_coeffs",
     "verify",
-    "DEFAULT_PERMUTATION_CAP",
 ]
 
 DEFAULT_PERMUTATION_CAP = 6           # n! enumeration stays trivial up to here
 
 # Box sums kept by kernel_K.  A thm3 sweep over degrees, x and sigma asks
-# for the same (head, i, t, q, b) again and again: the seven n <= 3
-# acceptance fixtures at degrees 0..6 and two bases need 1176 distinct sums
-# for 12,600 calls, which this holds without evicting.
-KERNEL_CACHE_SIZE = 4096
+# for the same (head, i, t, q, b) again and again, and thm_suite loops over
+# x outside q, so a bound below one x pass's distinct sums misses them all
+# again on every pass.  The (1,2,3,4) fixture at degrees 0..6 and ten bases
+# needs 6720 (24 heads x 28 (i, t) pairs x 10 bases): 20,160 misses at a
+# bound of 4096, 6720 at this one.  The seven n <= 3 fixtures need 1176.
+KERNEL_CACHE_SIZE = 8192
 
 VERIFY_KINDS = ("thm1", "thm2", "thm3", "eq20")
 
@@ -178,8 +179,8 @@ def thm2_expr(
 
     [W]_q^(m-1) * sum over the box of q^{v * sum_j P_j k_j} times the
     degree-m degenerate polynomial with deformation lam/[W]_q at base
-    q^W, evaluated at v*x + sum_j (v/u_j) k_j.  Exact; m = 0 uses the
-    rational inverse of [W]_q.
+    q^W, evaluated at v*x + sum_j (v/u_j) k_j = v*(x + S/W), where
+    S = sum_j P_j k_j.  Exact; m = 0 uses the rational inverse of [W]_q.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -193,7 +194,7 @@ def thm2_expr(
     total = Fraction(0)
     for k in itertools.product(*(range(u) for u in view.head)):
         S = sum(Pj * kj for Pj, kj in zip(view.P, k))
-        y = view.v * x + sum(Fraction(view.v * kj, uj) for uj, kj in zip(view.head, k))
+        y = view.v * (x + Fraction(S, view.W))
         total += qv**S * degenerate_qpoly(m, y, lam_scaled, ctx_w)
     return Wq ** (m - 1) * total
 
@@ -209,13 +210,15 @@ def thm3_expr(
 
     sum_p S1(m,p) lam^(m-p) T_p (exactnum.stirling_transform) of the
     lam-free row T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s)
-    beta_{s,q^W}(v x) K(u | p-s, s), kernel at base exponent v.  Kept as a
-    genuinely different route: it runs through kernel_K, so eq20 has teeth.
+    beta_{s,q^W}(v x) K(u | p-s, s), kernel at base exponent v.  At lam = 0
+    only T_m survives, so the others are not built.  Kept as a genuinely
+    different route: it runs through kernel_K, so eq20 has teeth.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
     x = as_rational(x)
+    lam = as_rational(lam)
     ctx_w = QContext(q, c=view.W)
     base = QContext(q)
     Wq = qnum(view.W, base)
@@ -223,7 +226,7 @@ def thm3_expr(
     beta = carlitz_poly_values(m, view.v * x, ctx_w)
     row = [sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
                * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1))
-           for p in range(m + 1)]
+           if lam or p == m else 0 for p in range(m + 1)]
     return stirling_transform(row, lam)
 
 

@@ -1,7 +1,7 @@
 """Exact rational helpers: binomials, Stirling numbers, rational-function limits."""
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -94,6 +94,11 @@ class TestStirlingFirstKind:
         assert stirling1(3, 5) == 0
         assert stirling1(3, -1) == 0
         assert stirling1(0, 0) == 1
+
+    def test_deep_row(self):
+        # row 1200 lies past the interpreter's recursion limit
+        assert stirling1(1200, 1199) == -comb(1200, 2)
+        assert stirling1(1200, 1) == (-1) ** 1199 * factorial(1199)
 
     @given(rationals, st.integers(min_value=0, max_value=12))
     def test_generating_identity(self, z, n):

@@ -17,12 +17,14 @@ from qbern import (
     carlitz_poly,
     degenerate_qpoly,
     kernel_K,
+    q_lam_points,
     qnum,
     riemann_sum_carlitz,
     stirling1,
     thm1_coeffs,
     thm2_expr,
     thm3_expr,
+    thm_suite,
     verify,
     vp,
 )
@@ -153,6 +155,17 @@ class TestKernel:
             assert kernel_K(u, 2, 1, q) == self._brute_force(u, 2, 1, q, 1)
         assert symmetry._kernel_box_sum.cache_info().misses - misses == 6
 
+    def test_memo_holds_a_four_weight_sweep(self):
+        # thm_suite loops over x outside q, so each x pass must find the sums
+        # of the last one: every (head, i, t, q) is summed exactly once
+        points = q_lam_points(40, 0)
+        distinct_q = len({q for q, _ in points})
+        assert distinct_q == 34
+        symmetry._kernel_box_sum.cache_clear()
+        thm_suite("thm3", [(1, 2, 3, 4)], 2, points=points)
+        # 24 heads x 6 (i, t) pairs with i + t <= 2
+        assert symmetry._kernel_box_sum.cache_info().misses == 24 * 6 * distinct_q
+
     def test_bad_arguments_raise_after_caching(self):
         assert kernel_K((2, 3), 1, 0, Fraction(3)) == self._brute_force((2, 3), 1, 0, Fraction(3), 1)
         for q in (Fraction(0), Fraction(1), Fraction(-1)):
@@ -227,6 +240,18 @@ class TestKernelExpansion:
         lam = Fraction(1)
         for view in WeightVector((1, 2)).views():
             assert thm3_expr(view, 1, 1, lam, q) == thm2_expr(view, 1, 1, lam, q)
+
+    def test_zero_deformation_builds_only_the_top_term(self, monkeypatch):
+        # lam^(m-p) zeroes every T_p with p < m, so only T_m asks for kernels
+        calls = []
+        real = symmetry.kernel_K
+        monkeypatch.setattr(symmetry, "kernel_K", lambda *args: calls.append(args) or real(*args))
+        view = SigmaView(WeightVector((2, 3)), (1, 2))
+        for m in range(5):
+            for lam, expected in ((0, m + 1), (Fraction(2, 5), (m + 1) * (m + 2) // 2)):
+                calls.clear()
+                thm3_expr(view, m, 1, lam, Fraction(3))
+                assert len(calls) == expected, (m, lam)
 
 
 class TestDeformationIdentity:
