@@ -16,7 +16,9 @@ and the fully degenerate version is their exactnum.stirling_transform
 
 which at L = 0 collapses to b_n(y) (0**0 == 1).  Number tables are
 memoized per (q, c), up to CARLITZ_CACHE_TABLES of them, because symmetry
-verification reuses the same bases thousands of times.
+verification reuses the same bases thousands of times.  The classical
+numbers, the q -> 1 limit, share that cache under the key (1, 1), which
+no QContext can take.
 
 A row of values is summed over one common denominator: the number table,
 Q^y and [y]_Q are split into integer numerators and denominators, each
@@ -137,22 +139,15 @@ def degenerate_qpoly(m: int, y: RationalLike, lam_deg: RationalLike, ctx: QConte
     return stirling_transform(carlitz_poly_values(m, y, ctx), lam_deg)
 
 
-_classical_cache: List[Fraction] = [Fraction(1)]
-_classical_lock = threading.Lock()
-
-
 def classical_numbers(nmax: int) -> Tuple[Fraction, ...]:
     """Bernoulli numbers (B_0, ..., B_nmax) from sum_{k<n} C(n,k) B_k = 0 (n >= 2)."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    with _classical_lock:
-        while len(_classical_cache) <= nmax:
-            n = len(_classical_cache) + 1          # recurrence index
-            acc = Fraction(0)
-            for k in range(n - 1):
-                acc += binom(n, k) * _classical_cache[k]
-            _classical_cache.append(-acc / n)
-        return tuple(_classical_cache[: nmax + 1])
+    with _cache_lock:
+        table = _carlitz_table(Fraction(1), 1)
+        for n in range(len(table) + 1, nmax + 2):  # recurrence index: B_{n-1} from row n
+            table.append(-sum(binom(n, k) * table[k] for k in range(n - 1)) / n)
+        return tuple(table[: nmax + 1])
 
 
 def classical_poly(m: int, x: RationalLike) -> Fraction:
@@ -180,9 +175,6 @@ def carlitz_numbers_ratfunc(nmax: int) -> List[RatFuncQ]:
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
 
-    def shift(p: List[int], k: int) -> List[int]:
-        return [0] * k + p
-
     def padd(a: List[int], b: List[int]) -> List[int]:
         n = max(len(a), len(b))
         return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
@@ -201,13 +193,12 @@ def carlitz_numbers_ratfunc(nmax: int) -> List[RatFuncQ]:
     nums: List[List[int]] = [[1]]                  # numerator of b_n
     dens: List[List[int]] = [[1]]                  # prod_{j=2}^{n+1} (q^j - 1)
     for n in range(1, nmax + 1):
+        # sum_l C(n,l) q^{l+1} num_l den_{n-1}/den_l by Horner over l: since
+        # den_{n-1}/den_l = prod_{j=l+2}^{n} (q^j - 1), step l brings (q^{l+1} - 1)
         acc: List[int] = [0]
         for l in range(n):
-            # binom(n,l) * q^{l+1} * num_l * (den_{n-1} / den_l)
-            term = pmul([binom(n, l).numerator], shift(list(nums[l]), l + 1))
-            for j in range(l + 2, n + 1):
-                term = pmul(term, qj_minus_1(j))
-            acc = padd(acc, term)
+            term = [0] * (l + 1) + [comb(n, l) * c for c in nums[l]]
+            acc = padd(pmul(acc, qj_minus_1(l + 1)), term)
         num = [-c for c in acc]
         if n == 1:
             num = padd(dens[0], num)

@@ -117,8 +117,10 @@ _READS: Dict[Tuple[str, str], Dict[str, object]] = {
     ("verify", "eq16"): {"samples": 200, "seed": 0},
     ("verify", "series-factor"): {"order": 12, "samples": 20, "seed": 0},
     ("verify", "stirling-mu1"): {"n": 8, "samples": 12, "seed": 0},
-    **{("oracle", family): {"n": 2, "x": Fraction(0), "q": None, "lam": Fraction(0),
-                            "p": 5, "nmax": 5} for family in suites.ORACLE_FAMILIES},
+    ("oracle", "carlitz"): {"n": 2, "x": Fraction(0), "q": None, "p": 5, "nmax": 5},
+    ("oracle", "degenerate"): {"n": 2, "x": Fraction(0), "q": None, "lam": Fraction(0),
+                               "p": 5, "nmax": 5},
+    ("oracle", "mu1"): {"n": 2, "x": Fraction(0), "lam": Fraction(0), "p": 5, "nmax": 5},
 }
 _COMMANDS = {"compute": "print one exact value", "verify": "run a verification suite",
              "oracle": "p-adic convergence report"}
@@ -255,8 +257,8 @@ def _run_verify(cfg: argparse.Namespace) -> Document:
 
 
 def _run_oracle(cfg: argparse.Namespace) -> Document:
-    rep = suites.oracle_report(cfg.what, cfg.n, x0=cfg.x, q=cfg.q, lam=cfg.lam,
-                               p=cfg.p, nmax=cfg.nmax)
+    rep = suites.oracle_report(cfg.what, **{"x0" if dest == "x" else dest: getattr(cfg, dest)
+                                            for dest in _READS[("oracle", cfg.what)]})
     doc = rep.to_json_dict()
     lines = [
         f"oracle {doc['family']}: p={doc['p']} q={doc['q']} lambda={doc['lambda']} "

@@ -64,18 +64,14 @@ def binom(e: RationalLike, k: int) -> Fraction:
     """Generalized binomial coefficient e(e-1)...(e-k+1) / k!.
 
     ``e`` may be any rational; for integer e >= 0 this is the ordinary
-    binomial coefficient.  ``binom(e, 0) == 1`` (empty product).  Integer
-    ``e`` is counted by ``math.comb``; a negative one by upper negation,
-    binom(e, k) = (-1)^k binom(k - e - 1, k).
+    binomial coefficient, counted by ``math.comb``.  ``binom(e, 0) == 1``
+    (empty product).
     """
     if k < 0:
         raise ValueError(f"binom needs k >= 0, got {k}")
     e = as_rational(e)
-    if e.denominator == 1:
-        n = e.numerator
-        if n >= 0:
-            return Fraction(comb(n, k))
-        return Fraction((-1) ** k * comb(k - n - 1, k))
+    if e.denominator == 1 and e.numerator >= 0:
+        return Fraction(comb(e.numerator, k))
     num = Fraction(1)
     for i in range(k):
         num *= e - i

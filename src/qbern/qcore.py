@@ -21,6 +21,9 @@ from .exactnum import RationalLike, as_rational
 
 __all__ = ["InadmissibleArg", "QContext", "qnum", "qnum_scale_split", "qnum_add_split"]
 
+# The points QContext refuses (see its docstring) and sample_q never draws.
+SPECIAL_Q = (Fraction(0), Fraction(1), Fraction(-1))
+
 
 class InadmissibleArg(ValueError):
     """A q-number argument whose scaled exponent is not an integer."""
@@ -38,14 +41,10 @@ class QContext:
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_rational(self.q))
-        if self.q in (0, 1, -1):
+        if self.q in SPECIAL_Q:
             raise ValueError(f"q must avoid 0, 1, -1; got {self.q}")
         if not isinstance(self.c, int) or self.c < 1:
             raise ValueError(f"base exponent c must be a positive integer; got {self.c}")
-
-    def rebase(self, c: int) -> "QContext":
-        """Same evaluation point with a different base exponent."""
-        return QContext(self.q, c)
 
 
 def _int_exponent(y: Fraction, c: int) -> int:
@@ -74,7 +73,7 @@ def qnum_scale_split(z: RationalLike, c: int, ctx: QContext) -> Tuple[Fraction, 
         raise ValueError(f"scale factor must be a positive integer; got {c}")
     z = as_rational(z)
     left = qnum(z * c, ctx)
-    right = qnum(c, ctx) * qnum(z, ctx.rebase(ctx.c * c))
+    right = qnum(c, ctx) * qnum(z, QContext(ctx.q, ctx.c * c))
     return left, right
 
 

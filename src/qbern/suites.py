@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import bernoulli, exactnum, padic, qcore, series, symmetry
 from .exactnum import RationalLike, as_rational, rat_str
 from .padic import INF, PadicParams, Valuation
-from .qcore import QContext
+from .qcore import SPECIAL_Q, QContext
 
 __all__ = [
     "SuiteResult",
@@ -38,8 +38,6 @@ ORACLE_FAMILIES = ("carlitz", "degenerate", "mu1")
 
 
 # -- seeded rational sampling -------------------------------------------------
-
-SPECIAL_Q = (Fraction(0), Fraction(1), Fraction(-1))
 
 
 def sample_rational(rng: random.Random, exclude: Sequence[Fraction] = ()) -> Fraction:

@@ -105,11 +105,6 @@ class SigmaView:
         W = prod(permuted[:-1])
         v = permuted[-1]
         P = tuple(W // u for u in permuted[:-1])
-        # derived-field validation: W*v is sigma-independent, P_j complements u_j
-        if W * v != prod(self.base.w):
-            raise AssertionError("W*v must equal the full weight product")
-        if any(P[j] * permuted[j] != W for j in range(n - 1)):
-            raise AssertionError("each P_j must complement its weight inside W")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "permuted", permuted)
         object.__setattr__(self, "W", W)
@@ -134,23 +129,19 @@ def kernel_K(
     Each point k contributes q^{b(t+1)S} * [S]_{q^b}^i with
     S = sum_j (prod_{l != j} u_l) k_j.  The empty box (no u at all) has
     the single point k = (), so the value is 1 when i = 0 and 0 otherwise
-    (0^0 = 1 throughout).  Every call checks its arguments; the sum itself
-    is memoized on the exact head tuple, never on a sorted one, so each
-    permutation's box is evaluated on its own.
+    (0^0 = 1 throughout).  Every call checks its arguments (q and b as
+    QContext(q, b) does); the sum itself is memoized on the exact head
+    tuple, never on a sorted one, so each permutation's box is evaluated
+    on its own.
     """
-    q = as_rational(q)
-    if q in (0, 1, -1):
-        raise ValueError(f"base q must avoid 0 and the roots of unity +-1, got {q}")
+    ctx = QContext(q, operator.index(b))
     i, t = operator.index(i), operator.index(t)
     if i < 0 or t < 0:
         raise ValueError("i and t must be nonnegative")
-    b = operator.index(b)
-    if b < 1:
-        raise ValueError(f"base exponent must be a positive integer, got {b}")
     u = tuple(operator.index(x) for x in u)
     if any(x < 1 for x in u):
         raise ValueError(f"box weights must be positive integers, got {u}")
-    return _kernel_box_sum(u, i, t, q, b)
+    return _kernel_box_sum(u, i, t, ctx.q, ctx.c)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)

@@ -124,6 +124,7 @@ class TestExitCodes:
          "--q pins"),
         (["verify", "thm2", "--weights", "2,3", "--q", "3", "--m-max", "1", "--seed", "5"],
          "--q pins the single (q, lambda) point; --seed would draw them"),
+        (["verify", "thm1", "--weights", "2,3", "--order", "-1"], "order must be >= 0"),
     ])
     def test_selection_without_evidence_is_usage_error(self, capsys, argv, message):
         # a run that checks nothing must not report a pass
@@ -146,6 +147,9 @@ class TestExitCodes:
          "`verify eq12` does not use --q, --p"),
         (["compute", "series", "--n", "2", "--x", "0", "--lambda", "1", "--order", "5"],
          "`compute series` does not use --order"),
+        (["oracle", "carlitz", "--n", "2", "--lambda", "5"], "`oracle carlitz` does not use --lambda"),
+        (["oracle", "carlitz", "--n", "1", "--lambda", "0"], "`oracle carlitz` does not use --lambda"),
+        (["oracle", "mu1", "--n", "1", "--q", "1"], "`oracle mu1` does not use --q"),
     ])
     def test_flag_without_effect_is_usage_error(self, capsys, argv, message):
         # a flag the run would ignore must not pass silently
@@ -340,8 +344,6 @@ class TestOracleSubcommand:
         assert code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["oracle", "carlitz", "--n", "2", "--lambda", "5"],
-         "the carlitz family is the lam = 0 case; it takes no lambda"),
         (["oracle", "degenerate", "--n", "2", "--x", "7/2", "--lambda", "5"],
          "x0 must be a nonnegative integer, got 7/2"),
     ])
@@ -460,8 +462,17 @@ def _corrupt_stirling(monkeypatch):
 
 
 # (argv, corruption or None, {format: SHA-256 of stdout}) at small sizes: every verify kind
-# and oracle family, a failing run of each suite family, and an oracle whose rows are all inf
+# and oracle family, two compute values, a failing run of each suite family, and an oracle
+# whose rows are all inf
 _REPORT_PINS = [
+    ("compute degenerate --n 2 --x 0 --lambda 1 --q 2", None, {
+        "text": "466ba73030d773db98547c0d817e5b8defc68020ec4b1e43e9009652cbd8a9d1",
+        "json": "d9381b87685430cf0e9e65b89ade49e14b16cb3e32ca96be30dd4fdcafd0436c",
+        "csv": "0b1ada7f0c4f9529a8a6e8c92814ea2fe7b55b9aa35bb2b883f3fbf3ca78d935"}),
+    ("compute kernel --weights 2,3 --i 1 --t 0 --q 3", None, {
+        "text": "d84e6f3e2b64bb0e414263e03a57e08449d6019b0cbd9f057af3fced2af3d467",
+        "json": "b8e680f3885618f113951d4bc8f5ee9f2626fbb2d0e54b9e81c6c6f4e9d4cf96",
+        "csv": "5e4c740eb0c2716a21acb1836d78627c688e3c768185e0fd800de51b74f6ea20"}),
     ("verify thm1 --weights 1,2 --order 2 --samples 2 --seed 1", None, {
         "text": "9ae4a04e595c223f1df8391ac4dfb33833fee8f6916ac645697031a062c38245",
         "json": "8ecd60dc2fb8316e9cf12f17e634be33d17710e60009ecdee39f02c80cf35578",

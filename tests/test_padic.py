@@ -45,10 +45,15 @@ class TestValuation:
     def test_unit(self):
         assert vp(Fraction(7, 3), 5) == 0
 
-    @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15])
+    @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 25, 49, 121])
     def test_rejects_non_odd_prime(self, bad):
         with pytest.raises(ValueError):
             vp(10, bad)
+
+    def test_accepts_primes_past_the_first_trial_divisor(self):
+        # 11 and 13 take the d += 2 step of the trial division before coming out prime
+        assert vp(121, 11) == 2
+        assert vp(Fraction(13, 169), 13) == -1
 
     @given(
         st.fractions(max_denominator=40).filter(lambda r: r != 0),

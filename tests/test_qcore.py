@@ -34,11 +34,6 @@ class TestQContext:
         with pytest.raises(ValueError):
             QContext(Fraction(2), c=bad_c)
 
-    def test_rebase_keeps_point(self):
-        ctx = QContext(Fraction(3), c=1)
-        ctx2 = ctx.rebase(4)
-        assert (ctx2.q, ctx2.c) == (ctx.q, 4)
-
 
 class TestQnum:
     def test_integer_argument(self):
