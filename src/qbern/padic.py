@@ -6,12 +6,13 @@ entirely different routes: recurrence tables, Stirling transforms,
 generating series.  Convergence is certified by watching the valuation
 of (sum at level N) - (claimed limit) climb strictly.
 
-The q-weighted sums expand the integrand once, as a polynomial in
-z = q^y, so each power of z sums against q^y as a geometric series and
-the p^N-term loop never runs.  Everything stays in exact rational
+Both sums are closed forms, so a level costs the same whatever p^N is.
+The q-weighted sums expand the integrand once in z = q^y and divide each
+power's geometric sum by [p^N]_q symbolically, so the level enters only
+through Z = q^(p^N); the uniform sums add forward differences of the
+integrand on the binomial basis.  Everything stays in exact rational
 arithmetic until the final valuation is read off; no modular inverses of
-quantities with positive valuation are ever needed, which keeps the
-bookkeeping auditable.
+quantities with positive valuation are ever needed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
 from .exactnum import RationalLike, as_rational
@@ -95,13 +95,16 @@ class PadicParams:
         object.__setattr__(self, "lam", lam)
 
 
-# The oracle workload (criterion-7 grid) reads 50 distinct keys; the bound
-# keeps a sweep over many q from growing the cache for the whole process.
-@lru_cache(maxsize=256)
-def _geometric_sum(q: Fraction, r: int, count: int) -> Fraction:
-    """sum_{y<count} q^{r*y} for r >= 1, exact; q^r != 1 since q != +-1."""
-    qr = q**r
-    return (qr**count - 1) / (qr - 1)
+def _at_level(e: Sequence[Fraction], q: Fraction, count: int) -> Fraction:
+    """sum_k e_k (q^count)^k by integer Horner; one gcd, in the final Fraction."""
+    z = q**count
+    u, v = z.numerator, z.denominator
+    den = math.lcm(*(ek.denominator for ek in e))
+    acc, vk = 0, 1
+    for ek in reversed(e):
+        acc = acc * u + ek.numerator * (den // ek.denominator) * vk
+        vk *= v
+    return Fraction(acc, den * v ** (len(e) - 1))
 
 
 def _check_x0(x0) -> int:
@@ -113,13 +116,15 @@ def _check_x0(x0) -> int:
 
 def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Fraction:
     # (1/[p^N]_q) sum_{y<p^N} prod_{i<n}([x0+y]_q - i*lam) q^y.  With
-    # z = q^y each factor is (1 - i*lam*(1-q) - q^x0 z)/(1-q), and z^j q^y
-    # sums to a geometric series in q^(j+1); lam is passed apart from params
-    # so the lam = 0 case builds no new params.
+    # z = q^y the product is (1-q)^-n sum_j c_j z^j, each factor being
+    # (1 - i*lam*(1-q) - q^x0 z)/(1-q); z^j q^y sums to a geometric series
+    # whose ratio to [p^N]_q is (q-1)/(q^(j+1)-1) sum_{k<=j} Z^k, Z = q^(p^N).
+    # So the sum is sum_k e_k Z^k with level-free e_k; lam is passed apart
+    # from params so the lam = 0 case builds no new params.
+    n, N = operator.index(n), operator.index(N)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x0 = _check_x0(x0)
-    N = operator.index(N)
     if N < 1:
         raise ValueError(f"level N must be >= 1, got {N}")
     q = params.q
@@ -132,9 +137,9 @@ def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Frac
             nxt[j] += const * cj
             nxt[j + 1] += lead * cj
         coeffs = nxt
-    count = params.p**N
-    total = sum(cj * _geometric_sum(q, j + 1, count) for j, cj in enumerate(coeffs))
-    return total / ((1 - q) ** n * _geometric_sum(q, 1, count))
+    scale = (q - 1) / (1 - q) ** n
+    terms = [cj * scale / (q ** (j + 1) - 1) for j, cj in enumerate(coeffs)]
+    return _at_level([sum(terms[k:]) for k in range(n + 1)], q, params.p**N)
 
 
 def riemann_sum_carlitz(n: int, x0: int, params: PadicParams, N: int) -> Fraction:
@@ -156,10 +161,12 @@ def riemann_sum_degenerate(n: int, x0: int, params: PadicParams, N: int) -> Frac
 def riemann_sum_mu1(n: int, x0: RationalLike, lam: RationalLike, p: int, N: int) -> Fraction:
     """(1/p^N) sum_{y<p^N} prod_{i<n}(x0 + y - i*lam), exact.
 
-    Plain uniform averages, evaluated by a direct loop over integers: every
-    factor is scaled by d = lcm(den x0, den lam) and d^n divided out at the
-    end.  Shares nothing with the series code it cross-checks.
+    Plain uniform averages in closed form: with every factor scaled by
+    d = lcm(den x0, den lam), f(y) = prod_{i<n}(a + d*y - i*l) is an integer
+    polynomial of degree n, summed as sum_j (Delta^j f)(0) C(p^N, j+1); d^n
+    is divided out at the end.  Shares nothing with the series code it checks.
     """
+    n, N = operator.index(n), operator.index(N)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = _check_odd_prime(p)
@@ -171,13 +178,12 @@ def riemann_sum_mu1(n: int, x0: RationalLike, lam: RationalLike, p: int, N: int)
         raise ValueError("x0 and lam must be p-adically integral")
     d = math.lcm(x0.denominator, lam.denominator)
     a, l = int(x0 * d), int(lam * d)
+    diffs = [math.prod(a + d * y - i * l for i in range(n)) for y in range(n + 1)]
     count = p**N
     total = 0
-    for s in range(a, a + d * count, d):      # s = d*(x0 + y)
-        prod = 1
-        for i in range(n):
-            prod *= s - i * l
-        total += prod
+    for j in range(n + 1):              # diffs[0] is (Delta^j f)(0)
+        total += diffs[0] * math.comb(count, j + 1)
+        diffs = [b - c for c, b in zip(diffs, diffs[1:])]
     return Fraction(total, count * d**n)
 
 

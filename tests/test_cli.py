@@ -513,6 +513,8 @@ _REPORT_PINS = [
         "text": "b95c76001dfe51a41f60d22679810568d7700d1c04ebf8c5761818f896142347",
         "json": "e3dc0d885a8c4f40fd08958b328fa5cd3608acc33046bfc45a1064f254366e2d",
         "csv": "23b92ca2249d44d3b9ed9c1369e05af4649d4f571b141f7f5fbc052e842a5e13"}),
+    ("oracle degenerate --n 3 --lambda 1 --p 7 --nmax 7", None, {
+        "text": "77e5aad5dd1f365ba7d79f647df6ec18a03c66cdba4b16b6bd9eca7e38e3a318"}),
     ("oracle mu1 --n 2 --lambda 1 --nmax 3", None, {
         "text": "7598e80e7d9b53ff6a34db767c63837236d20f5999ffc7300daa7beba6cbd17c",
         "json": "12043d23926201c19ea0a36c84a96407c12ffe39f15895cb441d5078e2313019",

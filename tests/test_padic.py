@@ -174,25 +174,15 @@ class TestDegenerateSums:
 
 
 class TestGeometricSums:
-    def test_cache_is_bounded(self):
-        # a level-1 sweep over many q must not grow the cache without limit
-        for k in range(1, 301):
-            riemann_sum_carlitz(1, 0, PadicParams(q=Fraction(1 + 5 * k), p=5), 1)
-        info = padic._geometric_sum.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
-
     @pytest.mark.parametrize("x0", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("family,lam", [("carlitz", 0), ("degenerate", 1), ("degenerate", 5)])
     def test_short_count_mutant_is_caught(self, monkeypatch, family, lam, n, x0):
-        # summing one term too few shifts the limit, so valuations stop growing
-        def short(q, r, count):
-            qr = q**r
-            return (qr ** (count - 1) - 1) / (qr - 1)
-
+        # Z = q^(p^N - 1) stops every geometric sum, the normaliser included,
+        # one term short; that shifts the limit, so valuations stop growing
+        at_level = padic._at_level
         assert oracle_report(family, n, x0=x0, lam=lam, p=5, nmax=4).monotone
-        monkeypatch.setattr(padic, "_geometric_sum", short)
+        monkeypatch.setattr(padic, "_at_level", lambda e, q, count: at_level(e, q, count - 1))
         assert not oracle_report(family, n, x0=x0, lam=lam, p=5, nmax=4).monotone
 
 
@@ -208,11 +198,18 @@ class TestUniformSums:
             assert riemann_sum_mu1(1, 2, Fraction(3), 5, N) == expected / c
 
     def test_first_moment_tends_to_minus_half(self):
-        # S_N + 1/2 = p^N/2 exactly, so the valuation is exactly N
+        # S_N + 1/2 = p^N/2 exactly, so the valuation is exactly N; up to
+        # 5^20 points, far past what a loop over the points could reach
         for lam in (Fraction(0), Fraction(1), Fraction(7)):
-            for N in (1, 2, 3):
+            for N in range(1, 21):
                 diff = riemann_sum_mu1(1, 0, lam, 5, N) - Fraction(-1, 2)
+                assert diff == Fraction(5**N, 2)
                 assert vp(diff, 5) == N
+
+    def test_second_moment_is_faulhaber(self):
+        # sum_{y<c} y^2 = (c-1)c(2c-1)/6 at c = 7^12, about 1.4e10 points
+        c = 7**12
+        assert riemann_sum_mu1(2, 0, 0, 7, 12) == Fraction((c - 1) * (2 * c - 1), 6)
 
     def test_convergence_to_series_value(self):
         target = kim_degenerate(2, 0, Fraction(1))
@@ -257,6 +254,19 @@ class TestUniformSums:
             riemann_sum_mu1(1, Fraction(1, 5), Fraction(0), 5, 1)
         with pytest.raises(ValueError):
             riemann_sum_mu1(1, 0, Fraction(1, 10), 5, 1)
+
+
+@pytest.mark.parametrize("family", ["carlitz", "degenerate", "mu1"])
+@pytest.mark.parametrize("n,N,p", [(1.0, 2, 5), (1, 2.0, 5), (1, 2, 5.0)],
+                         ids=["n", "N", "p"])
+def test_integer_arguments_reject_floats(family, n, N, p):
+    # a float must not reach range() or pow() and be summed as if it were an int
+    with pytest.raises(TypeError):
+        if family == "mu1":
+            riemann_sum_mu1(n, 0, 1, p, N)
+        else:
+            params = PadicParams(q=Fraction(6), lam=Fraction(1), p=p)
+            getattr(padic, f"riemann_sum_{family}")(n, 0, params, N)
 
 
 class TestConvergenceReport:
