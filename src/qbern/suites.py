@@ -11,6 +11,7 @@ from-imports, so a test can swap one out and watch the verdict flip.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,13 +147,18 @@ def thm_suite(
 
     kind thm1 treats m_max as the series order of a single verify call per
     cell; the other kinds sweep every degree m <= m_max.  points overrides
-    the seeded (q, lam) list when given.
+    the seeded (q, lam) list when given.  The degrees of one (w, x, q, lam)
+    block share their thm3 rows (symmetry.shared_rows); each item is still
+    computed inside its own verify call.
     """
     if points is None:
         points = q_lam_points(samples, seed)
     degrees = [m_max] if kind == "thm1" else range(m_max + 1)
-    items = tuple(symmetry.verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
-                  for w in weights_list for x in xs for q, lam in points for m in degrees)
+    items: List[Dict[str, object]] = []
+    for w, x, (q, lam) in itertools.product(weights_list, xs, points):
+        with symmetry.shared_rows():
+            items.extend(symmetry.verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
+                         for m in degrees)
     return SuiteResult(
         name=f"verify-{kind}",
         params={
@@ -163,7 +169,7 @@ def thm_suite(
             "samples": len(points),
             "seed": seed,
         },
-        items=items,
+        items=tuple(items),
     )
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,6 +52,9 @@ DEFAULT_PERMUTATION_CAP = 6           # n! enumeration stays trivial up to here
 KERNEL_CACHE_SIZE = 8192
 
 VERIFY_KINDS = ("thm1", "thm2", "thm3", "eq20")
+
+# The lam-free thm3 rows of the open shared_rows() block, if any.
+_open_rows: ContextVar[Optional[dict]] = ContextVar("_open_rows", default=None)
 
 
 class CapExceeded(ValueError):
@@ -129,7 +134,8 @@ def kernel_K(
     Each point k contributes q^{b(t+1)S} * [S]_{q^b}^i with
     S = sum_j (prod_{l != j} u_l) k_j.  The empty box (no u at all) has
     the single point k = (), so the value is 1 when i = 0 and 0 otherwise
-    (0^0 = 1 throughout).  Every call checks its arguments (q and b as
+    (0^0 = 1 throughout).  The box is not walked: _kernel_box_sum sums
+    its closed form.  Every call checks its arguments (q and b as
     QContext(q, b) does); the sum itself is memoized on the exact head
     tuple, never on a sorted one, so each permutation's box is evaluated
     on its own.
@@ -146,17 +152,33 @@ def kernel_K(
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel_box_sum(u: Tuple[int, ...], i: int, t: int, q: Fraction, b: int) -> Fraction:
+    """The box sum in closed form, over one common integer denominator.
+
+    With Q = q^b, U = prod(u) and P_l = U / u_l, expanding [S]_Q^i by the
+    binomial theorem splits the box into one geometric sum per axis:
+
+        K = (1 - Q)^(-i) sum_j C(i,j) (-1)^j prod_l [u_l]_{Q^((t+1+j) P_l)}.
+
+    For Q = a/d, each [u_l]_r is N / d^(e P_l (u_l - 1)) with e = t+1+j and
+    the integer N = (d^(eU) - a^(eU)) / (d^(e P_l) - a^(e P_l)); that
+    divisor is never 0, because QContext excludes q in {0, +-1}.  So one
+    product over the axes is an integer over d^(eG), G = len(u) U - sum P,
+    and the whole sum is one Fraction.
+    """
+    Q = q**b
+    a, d = Q.numerator, Q.denominator
     U = prod(u)
-    P = tuple(U // x for x in u)
-    qb = q**b
-    one_minus_qb = 1 - qb
-    total = Fraction(0)
-    for k in itertools.product(*(range(x) for x in u)):
-        S = sum(Pj * kj for Pj, kj in zip(P, k))
-        A = qb**S                                # q^{bS}, shared by both factors
-        bracket = (1 - A) / one_minus_qb
-        total += A ** (t + 1) * bracket**i
-    return total
+    P = [U // x for x in u]
+    G = len(u) * U - sum(P)
+    total = 0
+    for j in range(i + 1):
+        e = t + 1 + j
+        top = d ** (e * U) - a ** (e * U)
+        term = comb(i, j) * d ** ((i - j) * G)
+        for Pl in P:
+            term *= top // (d ** (e * Pl) - a ** (e * Pl))
+        total += -term if j % 2 else term
+    return Fraction(total * d**i, (d - a) ** i * d ** ((t + 1 + i) * G))
 
 
 def thm2_expr(
@@ -200,25 +222,52 @@ def thm3_expr(
     """Stirling-and-kernel expansion of thm2_expr; identically equal to it.
 
     sum_p S1(m,p) lam^(m-p) T_p (exactnum.stirling_transform) of the
-    lam-free row T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s)
-    beta_{s,q^W}(v x) K(u | p-s, s), kernel at base exponent v.  At lam = 0
-    only T_m survives, so the others are not built.  Kept as a genuinely
-    different route: it runs through kernel_K, so eq20 has teeth.
+    lam-free row T_0..T_m (_thm3_term).  At lam = 0 only T_m survives, so
+    it alone is built.  Otherwise the row is built afresh on every call,
+    except inside a shared_rows() block, where each T_p is built once for
+    the key (view.permuted, x, q) and later degrees extend that row.  Kept
+    as a genuinely different route: it runs through kernel_K, so eq20 has
+    teeth.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
     x = as_rational(x)
     lam = as_rational(lam)
-    ctx_w = QContext(q, c=view.W)
+    if not lam:
+        return _thm3_term(view, m, x, q)
+    rows = _open_rows.get()
+    row = [] if rows is None else rows.setdefault((view.permuted, x, q), [])
+    row.extend(_thm3_term(view, p, x, q) for p in range(len(row), m + 1))
+    return stirling_transform(row[: m + 1], lam)
+
+
+def _thm3_term(view: SigmaView, p: int, x: Fraction, q: Fraction) -> Fraction:
+    """The lam-free term T_p of thm3_expr's row.
+
+    T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s) beta_{s,q^W}(v x)
+    K(u | p-s, s), kernel at base exponent v.
+    """
     base = QContext(q)
     Wq = qnum(view.W, base)
     vq = qnum(view.v, base)
-    beta = carlitz_poly_values(m, view.v * x, ctx_w)
-    row = [sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
+    beta = carlitz_poly_values(p, view.v * x, QContext(q, c=view.W))
+    return sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
                * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1))
-           if lam or p == m else 0 for p in range(m + 1)]
-    return stirling_transform(row, lam)
+
+
+@contextmanager
+def shared_rows() -> Iterator[None]:
+    """Let every thm3_expr call in the block share its lam-free rows.
+
+    The rows are dropped when the block ends, so a row never outlives the
+    block that built it.
+    """
+    token = _open_rows.set({})
+    try:
+        yield
+    finally:
+        _open_rows.reset(token)
 
 
 def thm1_coeffs(

@@ -132,14 +132,15 @@ class TestKernel:
             total += qb ** ((t + 1) * S) * bracket**i
         return total
 
+    # the ranges the suites reach: i + t <= 6 at m <= 6, and b = v = 5 in (2, 3, 5)
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(tuple),
-        st.integers(min_value=0, max_value=5),
-        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
         st.builds(Fraction, st.integers(min_value=-9, max_value=9),
                   st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
-        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=5),
     )
     def test_matches_brute_force_box_sum(self, u, i, t, q, b):
         expected = self._brute_force(u, i, t, q, b)
@@ -252,6 +253,17 @@ class TestKernelExpansion:
                 calls.clear()
                 thm3_expr(view, m, 1, lam, Fraction(3))
                 assert len(calls) == expected, (m, lam)
+
+    def test_suite_builds_each_term_once_per_degree(self, monkeypatch):
+        # inside one (w, x, q, lam) block, degree m only adds T_m to the
+        # shared row: p + 1 kernels for each p <= 4, not the whole row again
+        calls = []
+        real = symmetry.kernel_K
+        monkeypatch.setattr(symmetry, "kernel_K", lambda *args: calls.append(args) or real(*args))
+        res = thm_suite("thm3", [(2, 3)], 4, xs=(1,), points=[(Fraction(3), Fraction(2, 5))])
+        assert res.ok
+        assert len(calls) == 2 * 15
+        assert {args[0] for args in calls} == {(2,), (3,)}
 
 
 class TestDeformationIdentity:
@@ -415,6 +427,28 @@ class TestMutationSensitivity:
         assert not rep.ok
         assert rep.counterexample is not None
         assert "sigma" in rep.counterexample
+
+    def test_shared_rows_never_mask_a_corrupted_kernel(self, monkeypatch):
+        # a suite's rows end with its block: a kernel patched after a passing
+        # run is reached by the next direct verify and the next suite alike
+        points = [(Fraction(2), Fraction(1))]
+        assert thm_suite("eq20", [(2, 3)], 2, xs=(1,), points=points).ok
+
+        def no_qpower(u, i, t, q, b=1):
+            # criterion 8's mutant: the nested sum without its q^{b(t+1)S} weight
+            qq = Fraction(q) ** b
+            total = Fraction(0)
+            U = prod(u)
+            for k in itertools.product(*(range(x) for x in u)):
+                S = sum(U // x * kx for x, kx in zip(u, k))
+                total += ((1 - qq**S) / (1 - qq)) ** i
+            return total
+
+        monkeypatch.setattr(symmetry, "kernel_K", no_qpower)
+        assert not verify("eq20", (2, 3), 1, x=1, lam=1, q=2).ok
+        res = thm_suite("eq20", [(2, 3)], 2, xs=(1,), points=points)
+        assert not res.ok
+        assert res.failures[0]["counterexample"]["reason"] == "closed form and kernel expansion disagree"
 
     def test_depermuted_closed_form_is_caught(self, monkeypatch):
         real = symmetry.thm2_expr
