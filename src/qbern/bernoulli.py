@@ -24,6 +24,10 @@ A row of values is summed over one common denominator: the number table,
 Q^y and [y]_Q are split into integer numerators and denominators, each
 value is an integer sum over their product, and one Fraction is built per
 value.  No Fraction arithmetic (and no gcd) happens inside the sums.
+Value rows are memoized too, up to CARLITZ_CACHE_ROWS of them, under the
+key (q, c, e) with e = c*y: b_n(y) depends on y only through Q^y = q^e and
+[y]_Q.  A row grows in place, so a sweep over degrees 0..M pays one new
+value per degree instead of a whole row.
 """
 
 from __future__ import annotations
@@ -53,6 +57,14 @@ __all__ = [
 # --samples 300` asks for 196 tables).
 CARLITZ_CACHE_TABLES = 256
 
+# Value rows kept, least recently used evicted first.  One thm_suite block
+# (one weight vector, x, q and lam at degrees 0..M) asks for at most one
+# row per box point of each distinct W, sum_W |box| = sum_W W keys: 31 for
+# (2,3,5), 50 for (1,2,3,4) and 274 for (1,2,3,4,5); box points with equal
+# S/W share a key, so 42 and 228 are distinct.  A bound below a block's
+# keys evicts every row before its next degree asks for it again.
+CARLITZ_CACHE_ROWS = 512
+
 _cache_lock = threading.Lock()
 
 
@@ -60,6 +72,13 @@ _cache_lock = threading.Lock()
 def _carlitz_table(q: Fraction, c: int) -> List[Fraction]:
     # the number table of one base, which _carlitz_values grows in place
     return [Fraction(1)]
+
+
+@lru_cache(maxsize=CARLITZ_CACHE_ROWS)
+def _carlitz_row(q: Fraction, c: int, e: int) -> List[Fraction]:
+    # b_0(y), b_1(y), ... at base q^c with Q^y = q^e, which
+    # carlitz_poly_values grows in place
+    return []
 
 
 def _carlitz_values(nmax: int, ctx: QContext) -> List[Fraction]:
@@ -93,31 +112,34 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
         b_n(y) = sum_l C(n,l) a^l E_l r^(n-l) / (D s^n),
 
     where a = u*w, r = t*v and s = v*w: an integer sum and one Fraction.
+    The values are memoized per (q, c, e), e = c*y, in a row that grows in
+    place: a call computes only the degrees no earlier call reached and
+    returns a copy of the row's first nmax + 1 values.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     y = as_rational(y)
     e = _int_exponent(y, ctx.c)
-    betas = _carlitz_values(nmax, ctx)
-    qy = ctx.q ** e                    # Q^y with Q = q^c
-    bracket = (1 - qy) / (1 - ctx.q ** ctx.c)
-    D = lcm(*(b.denominator for b in betas))
-    E = [b.numerator * (D // b.denominator) for b in betas]
-    a = qy.numerator * bracket.denominator
-    r = bracket.numerator * qy.denominator
-    s = qy.denominator * bracket.denominator
-    a_pow = [1]
-    r_pow = [1]
-    for _ in range(nmax):
-        a_pow.append(a_pow[-1] * a)
-        r_pow.append(r_pow[-1] * r)
-    out = []
-    den = D
-    for n in range(nmax + 1):
-        acc = sum(comb(n, l) * a_pow[l] * E[l] * r_pow[n - l] for l in range(n + 1))
-        out.append(Fraction(acc, den))
-        den *= s
-    return out
+    row = _carlitz_row(ctx.q, ctx.c, e)
+    if len(row) <= nmax:
+        betas = _carlitz_values(nmax, ctx)   # takes _cache_lock: not while holding it
+        qy = ctx.q ** e                      # Q^y with Q = q^c
+        bracket = (1 - qy) / (1 - ctx.q ** ctx.c)
+        D = lcm(*(b.denominator for b in betas))
+        E = [b.numerator * (D // b.denominator) for b in betas]
+        a = qy.numerator * bracket.denominator
+        r = bracket.numerator * qy.denominator
+        s = qy.denominator * bracket.denominator
+        a_pow = [1]
+        r_pow = [1]
+        for _ in range(nmax):
+            a_pow.append(a_pow[-1] * a)
+            r_pow.append(r_pow[-1] * r)
+        with _cache_lock:
+            for n in range(len(row), nmax + 1):
+                acc = sum(comb(n, l) * a_pow[l] * E[l] * r_pow[n - l] for l in range(n + 1))
+                row.append(Fraction(acc, D * s**n))
+    return row[: nmax + 1]
 
 
 def carlitz_poly(n: int, y: RationalLike, ctx: QContext) -> Fraction:

@@ -149,7 +149,9 @@ def thm_suite(
     cell; the other kinds sweep every degree m <= m_max.  points overrides
     the seeded (q, lam) list when given.  The degrees of one (w, x, q, lam)
     block share their thm3 rows (symmetry.shared_rows); each item is still
-    computed inside its own verify call.
+    computed inside its own verify call.  Degrees, views with the same W and
+    points with the same q also share Carlitz value rows, which
+    bernoulli.carlitz_poly_values memoizes per (q, W, y).
     """
     if points is None:
         points = q_lam_points(samples, seed)

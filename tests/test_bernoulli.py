@@ -1,6 +1,8 @@
 """q-Bernoulli numbers/polynomials, degenerate extension, classical tables."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -127,6 +129,80 @@ class TestCarlitzPolynomials:
         q, c = ctx.q, ctx.c
         bracket = (1 - q ** 3) / (1 - q ** c)
         assert v == table[0] * bracket + q ** 3 * table[1]
+
+
+class TestValueRowMemo:
+    """carlitz_poly_values keeps one growing row per (q, c, c*y)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=-12, max_value=12),
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6),
+    )
+    def test_any_request_order_matches_cold_calls(self, q, c, k, requests):
+        ctx = QContext(q, c=c)
+        y = Fraction(k, c)
+        bernoulli._carlitz_row.cache_clear()
+        warm = [carlitz_poly_values(nmax, y, ctx) for nmax in requests]
+        for nmax, got in zip(requests, warm):
+            bernoulli._carlitz_row.cache_clear()
+            assert got == carlitz_poly_values(nmax, y, ctx)
+
+    def test_mutating_a_result_leaves_the_row_alone(self):
+        ctx = QContext(Fraction(5, 3), c=2)
+        got = carlitz_poly_values(4, 3, ctx)
+        expected = list(got)
+        got[2] = Fraction(99)
+        got.append(Fraction(7))
+        del got[0]
+        assert carlitz_poly_values(4, 3, ctx) == expected
+        assert carlitz_poly_values(5, 3, ctx)[:5] == expected
+
+    def test_row_cache_is_bounded(self):
+        bound = bernoulli.CARLITZ_CACHE_ROWS
+        ctx = QContext(Fraction(7, 5))
+        expected = carlitz_poly_values(3, 0, ctx)
+        for k in range(1, bound + 50):               # pushes y = 0 out
+            carlitz_poly_values(1, k, ctx)
+            assert bernoulli._carlitz_row.cache_info().currsize <= bound
+        misses = bernoulli._carlitz_row.cache_info().misses
+        assert carlitz_poly_values(3, 0, ctx) == expected
+        assert bernoulli._carlitz_row.cache_info().misses == misses + 1
+
+    def test_threads_growing_one_row_lose_no_update(self):
+        # the threads walk the degrees of the same rows side by side; a growth
+        # step run by two threads at once would append its values twice
+        ctx = QContext(Fraction(-7, 4), c=3)
+        ys = [Fraction(k, 3) for k in range(1, 6)]
+        bernoulli._carlitz_row.cache_clear()
+        expected = {y: carlitz_poly_values(24, y, ctx) for y in ys}
+        wrong = []
+
+        def sweep(start):
+            start.wait(timeout=30)
+            for n in range(25):
+                for y in ys:
+                    if carlitz_poly_values(n, y, ctx) != expected[y][: n + 1]:
+                        wrong.append((n, y))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                bernoulli._carlitz_row.cache_clear()
+                start = threading.Barrier(4)
+                threads = [threading.Thread(target=sweep, args=(start,)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 class TestDegenerate:

@@ -7,6 +7,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qbern.bernoulli as bernoulli
 import qbern.symmetry as symmetry
 from qbern import (
     CapExceeded,
@@ -222,6 +223,23 @@ class TestClosedFormExpression:
                 expected += q ** (view.v * S) * carlitz_poly(m, y, ctx_w)
             expected *= Wq ** (m - 1)
             assert thm2_expr(view, m, 1, Fraction(0), q) == expected
+
+    def test_suite_builds_each_carlitz_row_once(self):
+        # every degree of one (w, x, q, lam) block, and every view with the
+        # same W, asks for the same (q, W, y) rows: one miss per distinct
+        # key, not one per degree or view.  Box points with equal S/W share
+        # a key (k/2 = 2k'/4 in the head (1, 2, 4)), so 42 of the 50 points.
+        keys = {(view.W, sum(Pj * kj for Pj, kj in zip(view.P, k)))
+                for view in WeightVector((1, 2, 3, 4)).views()
+                for k in itertools.product(*(range(u) for u in view.head))}
+        assert len(keys) == 42
+        bernoulli._carlitz_row.cache_clear()
+        res = thm_suite("thm2", [(1, 2, 3, 4)], 3, xs=(1,), points=[(Fraction(3), Fraction(2, 5))])
+        assert res.ok
+        assert bernoulli._carlitz_row.cache_info().misses == len(keys)
+        # one block of the five-weight fixture fits under the bound
+        boxes = {view.W: prod(view.head) for view in WeightVector((1, 2, 3, 4, 5)).views()}
+        assert sum(boxes.values()) == 274 <= bernoulli.CARLITZ_CACHE_ROWS
 
 
 class TestKernelExpansion:
