@@ -334,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc = _run_verify(ns)
         else:
             doc = _run_oracle(ns)
-    except (UsageError, ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError) as exc:
         return _error(exc)
     payload = _render(doc, ns.fmt)
     try:

@@ -7,6 +7,7 @@ supplies the shared scalar toolbox:
 * generalized binomial coefficients ``binom(e, k)`` for rational ``e``,
 * signed Stirling numbers of the first kind ``stirling1(n, m)`` and
   their transform ``stirling_transform(vals, lam)`` of a row of values,
+  which at ``lam == 0`` is the row's last value,
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
   which takes its exact limits such as ``q -> 1``.
@@ -101,12 +102,16 @@ def stirling_transform(vals: Sequence[Fraction], lam: RationalLike) -> Fraction:
     """sum_l stirling1(m, l) lam^(m-l) vals[l], with m = len(vals) - 1.
 
     With lam = g/h and L the lcm of the denominators of vals, one integer
-    sum over L h^m and one Fraction.  stirling1 is read at call time.
+    sum over L h^m and one Fraction.  At lam = 0 only S1(m, m) = 1
+    survives, so the value is vals[m] itself.  stirling1 is read at call
+    time.
     """
     if not vals:
         raise ValueError("stirling_transform needs at least one value")
     m = len(vals) - 1
     g, h = as_rational(lam).as_integer_ratio()
+    if not g:
+        return vals[m]
     L = lcm(*(v.denominator for v in vals))
     acc = 0
     for l, v in enumerate(vals):
@@ -157,9 +162,6 @@ class RatFuncQ:
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
         return _peval(self.num, q0) / d
-
-    def __repr__(self) -> str:
-        return f"RatFuncQ(num={list(self.num)}, den={list(self.den)})"
 
 
 def ratfunc_limit(f: RatFuncQ, q0: RationalLike) -> Fraction:

@@ -166,9 +166,7 @@ def log1p_series(lam: RationalLike, order: int) -> TruncSeries:
 
 def log_factor_series(lam: RationalLike, order: int) -> TruncSeries:
     """log(1 + lam*t) / (lam*t): the exact ratio of the two families."""
-    lam = as_rational(lam)
-    if lam == 0:
-        raise ZeroLambda("lam must be nonzero")
+    lam = _check_lam(as_rational(lam))
     coeffs = []
     lam_pow = Fraction(1)
     for k in range(order + 1):

@@ -255,10 +255,10 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
     for idx in range(samples):
         lam = sample_rational(rng, exclude=(Fraction(0),))
         x = sample_rational(rng)
+        row = [bernoulli.classical_poly(m, x) for m in range(n_max + 1)]
         for n in range(n_max + 1):
             lhs = series.kim_degenerate(n, x, lam)
-            rhs = exactnum.stirling_transform(
-                [bernoulli.classical_poly(m, x) for m in range(n + 1)], lam)
+            rhs = exactnum.stirling_transform(row[: n + 1], lam)
             items.append({
                 "index": idx, "lambda": rat_str(lam), "x": rat_str(x), "n": n,
                 "lhs": rat_str(lhs), "rhs": rat_str(rhs), "equal": lhs == rhs,

@@ -222,38 +222,31 @@ def thm3_expr(
     """Stirling-and-kernel expansion of thm2_expr; identically equal to it.
 
     sum_p S1(m,p) lam^(m-p) T_p (exactnum.stirling_transform) of the
-    lam-free row T_0..T_m (_thm3_term).  At lam = 0 only T_m survives, so
-    it alone is built.  Otherwise the row is built afresh on every call,
-    except inside a shared_rows() block, where each T_p is built once for
-    the key (view.permuted, x, q) and later degrees extend that row.  Kept
-    as a genuinely different route: it runs through kernel_K, so eq20 has
-    teeth.
+    lam-free row T_0..T_m, where
+
+        T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s)
+              beta_{s,q^W}(v x) K(u | p-s, s),
+
+    with the kernel at base exponent v.  The row is built afresh on every
+    call, except inside a shared_rows() block, where each T_p is built once
+    for the key (view.permuted, x, q) and later degrees extend that row.
+    Kept as a genuinely different route: it runs through kernel_K, so eq20
+    has teeth.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
     x = as_rational(x)
-    lam = as_rational(lam)
-    if not lam:
-        return _thm3_term(view, m, x, q)
     rows = _open_rows.get()
     row = [] if rows is None else rows.setdefault((view.permuted, x, q), [])
-    row.extend(_thm3_term(view, p, x, q) for p in range(len(row), m + 1))
+    if len(row) <= m:
+        base = QContext(q)
+        Wq, vq = qnum(view.W, base), qnum(view.v, base)
+        beta = carlitz_poly_values(m, view.v * x, QContext(q, c=view.W))
+        row.extend(sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
+                       * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1))
+                   for p in range(len(row), m + 1))
     return stirling_transform(row[: m + 1], lam)
-
-
-def _thm3_term(view: SigmaView, p: int, x: Fraction, q: Fraction) -> Fraction:
-    """The lam-free term T_p of thm3_expr's row.
-
-    T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s) beta_{s,q^W}(v x)
-    K(u | p-s, s), kernel at base exponent v.
-    """
-    base = QContext(q)
-    Wq = qnum(view.W, base)
-    vq = qnum(view.v, base)
-    beta = carlitz_poly_values(p, view.v * x, QContext(q, c=view.W))
-    return sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
-               * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1))
 
 
 @contextmanager

@@ -21,6 +21,7 @@ import qbern.cli as cli
 import qbern.exactnum as exactnum
 import qbern.qcore as qcore
 import qbern.series as series
+import qbern.suites as suites
 import qbern.symmetry as symmetry
 from qbern.cli import main
 
@@ -158,6 +159,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qbern: error:")
         assert message in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ("2,x", "expected comma-separated integers, got '2,x'"),
+        ("0,3", "weights must be positive integers, got '0,3'"),
+    ])
+    def test_bad_weights_are_usage_errors(self, capsys, weights, message):
+        code, out, err = run(capsys, "verify", "thm2", "--weights", weights)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_zero_division_is_a_fault_not_a_usage_error(self, monkeypatch):
+        # no input reaches a ZeroDivisionError, so one raised inside a run is
+        # a fault: it must surface as a traceback, never as exit 2
+        def broken(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites, "qlemma_suite", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["verify", "eq12"])
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eq12", "--sam", "3"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from qbern import (
     PoleError,
@@ -114,6 +114,7 @@ class TestStirlingTransform:
         st.integers(min_value=-9, max_value=9),
         st.integers(min_value=1, max_value=9),
     )
+    @example(vals=[Fraction(1, 2), Fraction(-3), Fraction(7, 4)], g=0, h=5)   # lam = 0
     def test_matches_term_by_term_sum(self, vals, g, h):
         # one integer sum over a common denominator, against plain Fractions
         lam = Fraction(g, h)

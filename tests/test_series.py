@@ -130,7 +130,7 @@ class TestBuildingBlocks:
         assert s[0] == 1
 
     def test_log_factor_rejects_zero(self):
-        with pytest.raises(ZeroLambda):
+        with pytest.raises(ZeroLambda, match="pole at lam = 0"):
             log_factor_series(Fraction(0), 3)
 
     @pytest.mark.parametrize("maker", [carlitz_series, kim_series])

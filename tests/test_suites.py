@@ -95,6 +95,14 @@ class TestSeriesSuites:
         res = stirling_mu1_suite(n_max=5, samples=4, seed=2)
         assert res.ok
 
+    def test_stirling_suite_builds_one_classical_row_per_sample(self, monkeypatch):
+        calls = []
+        real = suites.bernoulli.classical_poly
+        monkeypatch.setattr(suites.bernoulli, "classical_poly",
+                            lambda m, x: calls.append(m) or real(m, x))
+        assert stirling_mu1_suite(n_max=8, samples=3, seed=0).ok
+        assert calls == list(range(9)) * 3
+
     def test_stirling_suite_sees_module_attribute(self, monkeypatch):
         import qbern.exactnum as exactnum
 

@@ -260,25 +260,26 @@ class TestKernelExpansion:
         for view in WeightVector((1, 2)).views():
             assert thm3_expr(view, 1, 1, lam, q) == thm2_expr(view, 1, 1, lam, q)
 
-    def test_zero_deformation_builds_only_the_top_term(self, monkeypatch):
-        # lam^(m-p) zeroes every T_p with p < m, so only T_m asks for kernels
+    def test_direct_call_builds_the_whole_row(self, monkeypatch):
+        # outside a block every call builds T_0..T_m afresh, p + 1 kernels
+        # each, whatever lam is
         calls = []
         real = symmetry.kernel_K
         monkeypatch.setattr(symmetry, "kernel_K", lambda *args: calls.append(args) or real(*args))
         view = SigmaView(WeightVector((2, 3)), (1, 2))
-        for m in range(5):
-            for lam, expected in ((0, m + 1), (Fraction(2, 5), (m + 1) * (m + 2) // 2)):
-                calls.clear()
-                thm3_expr(view, m, 1, lam, Fraction(3))
-                assert len(calls) == expected, (m, lam)
+        for m, lam in itertools.product(range(5), (0, Fraction(2, 5))):
+            calls.clear()
+            thm3_expr(view, m, 1, lam, Fraction(3))
+            assert len(calls) == (m + 1) * (m + 2) // 2, (m, lam)
 
-    def test_suite_builds_each_term_once_per_degree(self, monkeypatch):
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(2, 5)])
+    def test_suite_builds_each_term_once_per_degree(self, monkeypatch, lam):
         # inside one (w, x, q, lam) block, degree m only adds T_m to the
         # shared row: p + 1 kernels for each p <= 4, not the whole row again
         calls = []
         real = symmetry.kernel_K
         monkeypatch.setattr(symmetry, "kernel_K", lambda *args: calls.append(args) or real(*args))
-        res = thm_suite("thm3", [(2, 3)], 4, xs=(1,), points=[(Fraction(3), Fraction(2, 5))])
+        res = thm_suite("thm3", [(2, 3)], 4, xs=(1,), points=[(Fraction(3), lam)])
         assert res.ok
         assert len(calls) == 2 * 15
         assert {args[0] for args in calls} == {(2,), (3,)}
