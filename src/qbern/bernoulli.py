@@ -14,20 +14,21 @@ and the fully degenerate version is their exactnum.stirling_transform
 
     b_{n,L}(y) = sum_l S1(n,l) L^{n-l} b_l(y),
 
-which at L = 0 collapses to b_n(y) (0**0 == 1).  Number tables are
-memoized per (q, c), up to CARLITZ_CACHE_TABLES of them, because symmetry
-verification reuses the same bases thousands of times.  The classical
-numbers, the q -> 1 limit, share that cache under the key (1, 1), which
-no QContext can take.
+which at L = 0 collapses to b_n(y) (0**0 == 1).
 
-A row of values is summed over one common denominator: the number table,
-Q^y and [y]_Q are split into integer numerators and denominators, each
-value is an integer sum over their product, and one Fraction is built per
-value.  No Fraction arithmetic (and no gcd) happens inside the sums.
-Value rows are memoized too, up to CARLITZ_CACHE_ROWS of them, under the
-key (q, c, e) with e = c*y: b_n(y) depends on y only through Q^y = q^e and
-[y]_Q.  A row grows in place, so a sweep over degrees 0..M pays one new
-value per degree instead of a whole row.
+One memo, _carlitz_row, keeps every row b_0(y), b_1(y), ... under the key
+(q, c, e) with e = c*y: b_n(y) depends on y only through Q^y = q^e and
+[y]_Q.  The row e = 0 is the number table, since b_n(0) = b_n; the
+classical numbers, the q -> 1 limit, are the row (1, 1, 0), which no
+QContext can take.  Rows grow in place, so a sweep over degrees 0..M pays
+one new value per degree, and a base that symmetry verification reuses
+thousands of times builds its table once.
+
+A row of values at y != 0 is summed over one common denominator: the
+number table, Q^y and [y]_Q are split into integer numerators and
+denominators, each value is an integer sum over their product, and one
+Fraction is built per value.  No Fraction arithmetic (and no gcd) happens
+inside the sums.
 """
 
 from __future__ import annotations
@@ -52,38 +53,36 @@ __all__ = [
 ]
 
 
-# Number tables kept, least recently used evicted first, so a sweep over
-# many sampled bases stays bounded in memory (`verify thm2 --weights 2,3
-# --samples 300` asks for 196 tables).
-CARLITZ_CACHE_TABLES = 256
-
-# Value rows kept, least recently used evicted first.  One thm_suite block
-# (one weight vector, x, q and lam at degrees 0..M) asks for at most one
-# row per box point of each distinct W, sum_W |box| = sum_W W keys: 31 for
-# (2,3,5), 50 for (1,2,3,4) and 274 for (1,2,3,4,5); box points with equal
-# S/W share a key, so 42 and 228 are distinct.  A bound below a block's
-# keys evicts every row before its next degree asks for it again.
-CARLITZ_CACHE_ROWS = 512
+# Rows kept, number tables included, least recently used evicted first.
+# One thm_suite block (one weight vector, x, q and lam at degrees
+# 0..M) asks for at most one row per box point of each distinct W, sum_W
+# |box| = sum_W W keys, plus one table per W: 31 + 3 for (2,3,5), 50 + 4
+# for (1,2,3,4) and 274 + 5 for (1,2,3,4,5).  A bound below a block's keys
+# evicts every row before its next degree asks for it again.  Every row
+# growth touches its base's table, yet `verify thm2 --weights 2,3 --samples
+# 300` (1,274 rows over 196 bases) rebuilt 322 tables at 512 and 179 at
+# 768; at 1024 it builds each of its 1,470 keys once.
+CARLITZ_CACHE_ROWS = 1024
 
 _cache_lock = threading.Lock()
 
 
-@lru_cache(maxsize=CARLITZ_CACHE_TABLES)
-def _carlitz_table(q: Fraction, c: int) -> List[Fraction]:
-    # the number table of one base, which _carlitz_values grows in place
+@lru_cache(maxsize=CARLITZ_CACHE_ROWS)
+def _carlitz_row(q: Fraction, c: int, e: int) -> List[Fraction]:
+    # b_0(y), b_1(y), ... at base q^c with Q^y = q^e (b_0(y) = 1), grown in
+    # place by carlitz_numbers at e = 0 and carlitz_poly_values elsewhere
     return [Fraction(1)]
 
 
-@lru_cache(maxsize=CARLITZ_CACHE_ROWS)
-def _carlitz_row(q: Fraction, c: int, e: int) -> List[Fraction]:
-    # b_0(y), b_1(y), ... at base q^c with Q^y = q^e, which
-    # carlitz_poly_values grows in place
-    return []
+def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
+    """The q-Bernoulli numbers (b_0, ..., b_nmax) at base q^c.
 
-
-def _carlitz_values(nmax: int, ctx: QContext) -> List[Fraction]:
+    The table is the value row at y = 0, grown in place by the recurrence.
+    """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     with _cache_lock:
-        table = _carlitz_table(ctx.q, ctx.c)
+        table = _carlitz_row(ctx.q, ctx.c, 0)
         if len(table) <= nmax:
             Q = ctx.q ** ctx.c
             qpow = [Q ** l for l in range(nmax + 2)]
@@ -93,14 +92,7 @@ def _carlitz_values(nmax: int, ctx: QContext) -> List[Fraction]:
                     acc += binom(n, l) * qpow[l] * table[l]
                 delta = 1 if n == 1 else 0
                 table.append((delta - Q * acc) / (qpow[n + 1] - 1))
-        return table[: nmax + 1]
-
-
-def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
-    """The q-Bernoulli numbers (b_0, ..., b_nmax) at base q^c."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return tuple(_carlitz_values(nmax, ctx))
+        return tuple(table[: nmax + 1])
 
 
 def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fraction]:
@@ -113,16 +105,19 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
 
     where a = u*w, r = t*v and s = v*w: an integer sum and one Fraction.
     The values are memoized per (q, c, e), e = c*y, in a row that grows in
-    place: a call computes only the degrees no earlier call reached and
-    returns a copy of the row's first nmax + 1 values.
+    place from the number table: a call computes only the degrees no
+    earlier call reached and returns a copy of the row's first nmax + 1
+    values.  At c*y = 0 the row is the number table itself.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     y = as_rational(y)
     e = _int_exponent(y, ctx.c)
+    if not e:
+        return list(carlitz_numbers(nmax, ctx))
     row = _carlitz_row(ctx.q, ctx.c, e)
     if len(row) <= nmax:
-        betas = _carlitz_values(nmax, ctx)   # takes _cache_lock: not while holding it
+        betas = carlitz_numbers(nmax, ctx)   # takes _cache_lock: not while holding it
         qy = ctx.q ** e                      # Q^y with Q = q^c
         bracket = (1 - qy) / (1 - ctx.q ** ctx.c)
         D = lcm(*(b.denominator for b in betas))
@@ -166,7 +161,7 @@ def classical_numbers(nmax: int) -> Tuple[Fraction, ...]:
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     with _cache_lock:
-        table = _carlitz_table(Fraction(1), 1)
+        table = _carlitz_row(Fraction(1), 1, 0)
         for n in range(len(table) + 1, nmax + 2):  # recurrence index: B_{n-1} from row n
             table.append(-sum(binom(n, k) * table[k] for k in range(n - 1)) / n)
         return tuple(table[: nmax + 1])

@@ -83,17 +83,6 @@ class TestCarlitzNumbers:
         b = carlitz_numbers(4, QContext(Fraction(4)))
         assert a == b
 
-    def test_table_cache_is_bounded(self):
-        bound = bernoulli.CARLITZ_CACHE_TABLES
-        first = QContext(Fraction(1, bound + 50))
-        expected = carlitz_numbers(4, first)
-        for k in range(2, bound + 50):               # pushes `first` out
-            carlitz_numbers(2, QContext(Fraction(k)))
-            assert bernoulli._carlitz_table.cache_info().currsize <= bound
-        misses = bernoulli._carlitz_table.cache_info().misses
-        assert carlitz_numbers(4, first) == expected
-        assert bernoulli._carlitz_table.cache_info().misses == misses + 1
-
 
 class TestCarlitzPolynomials:
     def test_at_zero_gives_numbers(self):
@@ -132,7 +121,7 @@ class TestCarlitzPolynomials:
 
 
 class TestValueRowMemo:
-    """carlitz_poly_values keeps one growing row per (q, c, c*y)."""
+    """One memo keeps a growing row per (q, c, c*y); the row at y = 0 is the table."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -140,16 +129,23 @@ class TestValueRowMemo:
                   st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=-12, max_value=12),
-        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6),
+        st.lists(st.tuples(st.sampled_from(["numbers", "zero", "y"]),
+                           st.integers(min_value=0, max_value=7)), min_size=1, max_size=8),
     )
     def test_any_request_order_matches_cold_calls(self, q, c, k, requests):
+        # the table grows by the recurrence and a row at y != 0 by its sums
+        # from the table; any interleaving of the two must give cold values
         ctx = QContext(q, c=c)
-        y = Fraction(k, c)
+        calls = {
+            "numbers": lambda n: carlitz_numbers(n, ctx),
+            "zero": lambda n: carlitz_poly_values(n, 0, ctx),
+            "y": lambda n: carlitz_poly_values(n, Fraction(k, c), ctx),
+        }
         bernoulli._carlitz_row.cache_clear()
-        warm = [carlitz_poly_values(nmax, y, ctx) for nmax in requests]
-        for nmax, got in zip(requests, warm):
+        warm = [calls[kind](nmax) for kind, nmax in requests]
+        for (kind, nmax), got in zip(requests, warm):
             bernoulli._carlitz_row.cache_clear()
-            assert got == carlitz_poly_values(nmax, y, ctx)
+            assert got == calls[kind](nmax)
 
     def test_mutating_a_result_leaves_the_row_alone(self):
         ctx = QContext(Fraction(5, 3), c=2)
@@ -161,16 +157,38 @@ class TestValueRowMemo:
         assert carlitz_poly_values(4, 3, ctx) == expected
         assert carlitz_poly_values(5, 3, ctx)[:5] == expected
 
-    def test_row_cache_is_bounded(self):
+    def test_memo_is_bounded(self):
+        # rows and tables share one bound; every row growth touches its
+        # base's table, so the table outlives the rows of its base
         bound = bernoulli.CARLITZ_CACHE_ROWS
         ctx = QContext(Fraction(7, 5))
-        expected = carlitz_poly_values(3, 0, ctx)
-        for k in range(1, bound + 50):               # pushes y = 0 out
+        expected = carlitz_poly_values(3, -1, ctx)
+        for k in range(1, bound + 50):               # pushes y = -1 out
             carlitz_poly_values(1, k, ctx)
             assert bernoulli._carlitz_row.cache_info().currsize <= bound
         misses = bernoulli._carlitz_row.cache_info().misses
-        assert carlitz_poly_values(3, 0, ctx) == expected
+        assert carlitz_poly_values(3, -1, ctx) == expected
         assert bernoulli._carlitz_row.cache_info().misses == misses + 1
+
+    def test_one_clear_exposes_a_corrupted_recurrence(self, monkeypatch):
+        # no table may outlive a clear of the memo, or a mutant binom would
+        # still be served the values computed before it
+        ctx = QContext(Fraction(5, 3), c=2)
+
+        def values():
+            return (carlitz_numbers(6, ctx), carlitz_poly_values(6, Fraction(3, 2), ctx),
+                    classical_numbers(6))
+
+        warm = values()
+        monkeypatch.setattr(bernoulli, "binom", lambda n, k: binom(n, k) + 1)
+        try:
+            bernoulli._carlitz_row.cache_clear()
+            mutant = values()
+        finally:
+            monkeypatch.undo()
+            bernoulli._carlitz_row.cache_clear()
+        for got, was in zip(mutant, warm):
+            assert got != was
 
     def test_threads_growing_one_row_lose_no_update(self):
         # the threads walk the degrees of the same rows side by side; a growth
@@ -179,11 +197,17 @@ class TestValueRowMemo:
         ys = [Fraction(k, 3) for k in range(1, 6)]
         bernoulli._carlitz_row.cache_clear()
         expected = {y: carlitz_poly_values(24, y, ctx) for y in ys}
+        numbers = carlitz_numbers(24, ctx)
+        classical = classical_numbers(24)
         wrong = []
 
         def sweep(start):
             start.wait(timeout=30)
             for n in range(25):
+                if carlitz_numbers(n, ctx) != numbers[: n + 1]:
+                    wrong.append((n, "numbers"))
+                if classical_numbers(n) != classical[: n + 1]:
+                    wrong.append((n, "classical"))
                 for y in ys:
                     if carlitz_poly_values(n, y, ctx) != expected[y][: n + 1]:
                         wrong.append((n, y))

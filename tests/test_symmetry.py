@@ -226,20 +226,23 @@ class TestClosedFormExpression:
 
     def test_suite_builds_each_carlitz_row_once(self):
         # every degree of one (w, x, q, lam) block, and every view with the
-        # same W, asks for the same (q, W, y) rows: one miss per distinct
-        # key, not one per degree or view.  Box points with equal S/W share
-        # a key (k/2 = 2k'/4 in the head (1, 2, 4)), so 42 of the 50 points.
+        # same W, asks for the same (q, W, y) rows and the table at base
+        # q^W: one miss per distinct key, not one per degree or view.  Box
+        # points with equal S/W share a key (k/2 = 2k'/4 in the head
+        # (1, 2, 4)), so 42 of the 50 points, plus 4 tables (W = 6, 8, 12, 24).
         keys = {(view.W, sum(Pj * kj for Pj, kj in zip(view.P, k)))
                 for view in WeightVector((1, 2, 3, 4)).views()
                 for k in itertools.product(*(range(u) for u in view.head))}
-        assert len(keys) == 42
+        tables = {view.W for view in WeightVector((1, 2, 3, 4)).views()}
+        assert (len(keys), tables) == (42, {6, 8, 12, 24})
         bernoulli._carlitz_row.cache_clear()
         res = thm_suite("thm2", [(1, 2, 3, 4)], 3, xs=(1,), points=[(Fraction(3), Fraction(2, 5))])
         assert res.ok
-        assert bernoulli._carlitz_row.cache_info().misses == len(keys)
-        # one block of the five-weight fixture fits under the bound
+        assert bernoulli._carlitz_row.cache_info().misses == len(keys) + len(tables) == 46
+        # one block of the five-weight fixture, rows and tables, fits under the bound
         boxes = {view.W: prod(view.head) for view in WeightVector((1, 2, 3, 4, 5)).views()}
-        assert sum(boxes.values()) == 274 <= bernoulli.CARLITZ_CACHE_ROWS
+        assert (sum(boxes.values()), len(boxes)) == (274, 5)
+        assert 274 + 5 <= bernoulli.CARLITZ_CACHE_ROWS
 
 
 class TestKernelExpansion:
