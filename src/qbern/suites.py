@@ -148,10 +148,10 @@ def thm_suite(
     kind thm1 treats m_max as the series order of a single verify call per
     cell; the other kinds sweep every degree m <= m_max.  points overrides
     the seeded (q, lam) list when given.  The degrees of one (w, x, q, lam)
-    block share their thm3 rows (symmetry.shared_rows); each item is still
-    computed inside its own verify call.  Degrees, views with the same W and
-    points with the same q also share Carlitz value rows, which
-    bernoulli.carlitz_poly_values memoizes per (q, W, y).
+    block share thm2 plans and values and thm3 rows (symmetry.shared_rows);
+    each item is still computed inside its own verify call.  Degrees, views
+    with the same W and points with the same q also share Carlitz value
+    rows, which bernoulli.carlitz_poly_values memoizes per (q, W, y).
     """
     if points is None:
         points = q_lam_points(samples, seed)

@@ -8,6 +8,8 @@ numbers and a power-sum kernel (thm3_expr), and the generating-series
 coefficient list (thm1_coeffs).  Each is invariant under sigma, and the
 first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
+Inside a shared_rows() block, thm2_expr shares its box plans and degenerate
+values, and thm3_expr its lam-free rows.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -53,7 +55,7 @@ KERNEL_CACHE_SIZE = 8192
 
 VERIFY_KINDS = ("thm1", "thm2", "thm3", "eq20")
 
-# The lam-free thm3 rows of the open shared_rows() block, if any.
+# The memo of the open shared_rows() block, if any: thm2 plans and values, thm3 rows.
 _open_rows: ContextVar[Optional[dict]] = ContextVar("_open_rows", default=None)
 
 
@@ -194,21 +196,38 @@ def thm2_expr(
     degree-m degenerate polynomial with deformation lam/[W]_q at base
     q^W, evaluated at v*x + sum_j (v/u_j) k_j = v*(x + S/W), where
     S = sum_j P_j k_j.  Exact; m = 0 uses the rational inverse of [W]_q.
+
+    One walk of the view's own head and P (never a sorted one) folds its box
+    into distinct y with summed weights.  Inside a shared_rows() block that
+    plan is kept per (view.permuted, x, q), and each value per (m, lam/[W]_q,
+    q, W, y) for every view with that W; outside a block both are built afresh.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
     x = as_rational(x)
     lam = as_rational(lam)
-    ctx_w = QContext(q, c=view.W)
-    Wq = qnum(view.W, QContext(q))
+    memo = _open_rows.get()
+    if memo is None:
+        memo = {}
+    plan = memo.get(("thm2", view.permuted, x, q))
+    if plan is None:
+        # y keyed as (numerator, denominator): a Fraction hash is a modular inverse
+        weights: Dict[Tuple[int, int], Fraction] = {}
+        for k in itertools.product(*(range(u) for u in view.head)):
+            S = sum(Pj * kj for Pj, kj in zip(view.P, k))
+            y = (view.v * (x + Fraction(S, view.W))).as_integer_ratio()
+            weights[y] = weights.get(y, 0) + q ** (view.v * S)
+        plan = memo[("thm2", view.permuted, x, q)] = (
+            qnum(view.W, QContext(q)), QContext(q, c=view.W), weights)
+    Wq, ctx_w, weights = plan
     lam_scaled = lam / Wq
-    qv = q**view.v
+    values = memo.setdefault((m, lam_scaled, q, view.W), {})
     total = Fraction(0)
-    for k in itertools.product(*(range(u) for u in view.head)):
-        S = sum(Pj * kj for Pj, kj in zip(view.P, k))
-        y = view.v * (x + Fraction(S, view.W))
-        total += qv**S * degenerate_qpoly(m, y, lam_scaled, ctx_w)
+    for y, weight in weights.items():
+        if y not in values:
+            values[y] = degenerate_qpoly(m, Fraction(*y), lam_scaled, ctx_w)
+        total += weight * values[y]
     return Wq ** (m - 1) * total
 
 
@@ -238,7 +257,7 @@ def thm3_expr(
     q = as_rational(q)
     x = as_rational(x)
     rows = _open_rows.get()
-    row = [] if rows is None else rows.setdefault((view.permuted, x, q), [])
+    row = [] if rows is None else rows.setdefault(("thm3", view.permuted, x, q), [])
     if len(row) <= m:
         base = QContext(q)
         Wq, vq = qnum(view.W, base), qnum(view.v, base)
@@ -251,10 +270,10 @@ def thm3_expr(
 
 @contextmanager
 def shared_rows() -> Iterator[None]:
-    """Let every thm3_expr call in the block share its lam-free rows.
+    """Let the thm2_expr and thm3_expr calls in the block share their work.
 
-    The rows are dropped when the block ends, so a row never outlives the
-    block that built it.
+    The thm2 plans and values and the thm3 rows are dropped when the block
+    ends, so none outlives the block that built it.
     """
     token = _open_rows.set({})
     try:

@@ -244,6 +244,38 @@ class TestClosedFormExpression:
         assert (sum(boxes.values()), len(boxes)) == (274, 5)
         assert 274 + 5 <= bernoulli.CARLITZ_CACHE_ROWS
 
+    # views of two weight vectors that share W = 6 at different v, and a
+    # repeated weight, so equal heads and equal W meet inside one block
+    _block_views = [*WeightVector((2, 2, 3)).views(), *WeightVector((1, 2, 3)).views()]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(_block_views), min_size=1, max_size=4), st.data())
+    def test_block_values_equal_direct_calls(self, views, data):
+        # a block keys its plans on (view, x, q) and its values on
+        # (m, lam/[W]_q, q, W, y): any key that drops one of them hands a
+        # later call the value of another.  At lam = 0 the scaled deformation
+        # no longer tells q or W apart, and y = 0 occurs at every W when x = 0
+        calls = data.draw(st.permutations(list(itertools.product(
+            views, range(4), (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(-3, 2)),
+            (Fraction(3), Fraction(-7, 3))))))
+        expected = [thm2_expr(*call) for call in calls]
+        with symmetry.shared_rows():
+            assert [thm2_expr(*call) for call in calls] == expected
+
+    def test_block_takes_each_degenerate_value_once(self, monkeypatch):
+        # views with the same W ask for the same (W, y) values, and box points
+        # with equal S for the same y: one call per distinct (W, y) and degree
+        calls = []
+        real = symmetry.degenerate_qpoly
+        monkeypatch.setattr(symmetry, "degenerate_qpoly",
+                            lambda *args: calls.append(args) or real(*args))
+        keys = {(view.W, sum(Pj * kj for Pj, kj in zip(view.P, k)))
+                for view in WeightVector((1, 2, 3, 4)).views()
+                for k in itertools.product(*(range(u) for u in view.head))}
+        res = thm_suite("thm2", [(1, 2, 3, 4)], 3, xs=(1,), points=[(Fraction(2), Fraction(2, 5))])
+        assert res.ok
+        assert len(calls) == 4 * len(keys) == 168
+
 
 class TestKernelExpansion:
     def test_order_zero_matches_closed_form(self):
@@ -471,6 +503,22 @@ class TestMutationSensitivity:
         res = thm_suite("eq20", [(2, 3)], 2, xs=(1,), points=points)
         assert not res.ok
         assert res.failures[0]["counterexample"]["reason"] == "closed form and kernel expansion disagree"
+
+    def test_shared_values_never_mask_a_corrupted_degenerate_value(self, monkeypatch):
+        # a block's plans and values end with it: a degenerate polynomial
+        # patched after a passing run reaches direct calls and suites alike
+        points = [(Fraction(2), Fraction(1))]
+        assert thm_suite("thm2", [(2, 3)], 2, xs=(1,), points=points).ok
+        real = symmetry.degenerate_qpoly
+
+        def rescaled(m, y, lam, ctx):
+            # the deformation multiplied by the base exponent W once too often
+            return real(m, y, lam * ctx.c, ctx)
+
+        monkeypatch.setattr(symmetry, "degenerate_qpoly", rescaled)
+        assert not verify("thm2", (2, 3), 2, x=1, lam=1, q=2).ok
+        assert not thm_suite("thm2", [(2, 3)], 2, xs=(1,), points=points).ok
+        assert not verify("eq20", (2, 3), 2, x=1, lam=1, q=2).ok
 
     def test_depermuted_closed_form_is_caught(self, monkeypatch):
         real = symmetry.thm2_expr
