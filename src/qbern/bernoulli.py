@@ -54,14 +54,13 @@ __all__ = [
 
 
 # Rows kept, number tables included, least recently used evicted first.
-# One thm_suite block (one weight vector, x, q and lam at degrees
-# 0..M) asks for at most one row per box point of each distinct W, sum_W
-# |box| = sum_W W keys, plus one table per W: 31 + 3 for (2,3,5), 50 + 4
-# for (1,2,3,4) and 274 + 5 for (1,2,3,4,5).  A bound below a block's keys
-# evicts every row before its next degree asks for it again.  Every row
-# growth touches its base's table, yet `verify thm2 --weights 2,3 --samples
-# 300` (1,274 rows over 196 bases) rebuilt 322 tables at 512 and 179 at
-# 768; at 1024 it builds each of its 1,470 keys once.
+# In a thm_suite block every degree of one (x, q, lam) pass asks again for
+# at most one row per box point of each distinct W plus one table per W:
+# 31 + 3 keys for (2,3,5), 50 + 4 for (1,2,3,4), 274 + 5 for (1,2,3,4,5).
+# A bound below that evicts rows before the next degree asks again.  Only
+# weight vectors that share a W ask again after the pass, and the margin
+# keeps most of those rows: the criterion 1 grid (2,490 distinct keys)
+# builds 2,572 at 1024, 2,665 at 512 and 2,795 at 256.
 CARLITZ_CACHE_ROWS = 1024
 
 _cache_lock = threading.Lock()

@@ -147,20 +147,29 @@ def thm_suite(
 
     kind thm1 treats m_max as the series order of a single verify call per
     cell; the other kinds sweep every degree m <= m_max.  points overrides
-    the seeded (q, lam) list when given.  The degrees of one (w, x, q, lam)
-    block share thm2 plans and values and thm3 rows (symmetry.shared_rows);
-    each item is still computed inside its own verify call.  Degrees, views
-    with the same W and points with the same q also share Carlitz value
-    rows, which bernoulli.carlitz_poly_values memoizes per (q, W, y).
+    the seeded (q, lam) list when given.  Items come out in (w, x, point, m)
+    order, each from its own verify call, but the calls run in one
+    symmetry.shared_rows() block per weight vector and q, over every x and
+    lam, on which kernel sums do not depend; a block per w would hold every
+    q's work at once.  Views with the same W and points with the same q also
+    share Carlitz value rows, memoized per (q, W, y) by carlitz_poly_values.
     """
     if points is None:
         points = q_lam_points(samples, seed)
     degrees = [m_max] if kind == "thm1" else range(m_max + 1)
+    blocks: Dict[Fraction, List[Tuple[int, int]]] = {}
+    for i, j in itertools.product(range(len(xs)), range(len(points))):
+        blocks.setdefault(points[j][0], []).append((i, j))
     items: List[Dict[str, object]] = []
-    for w, x, (q, lam) in itertools.product(weights_list, xs, points):
-        with symmetry.shared_rows():
-            items.extend(symmetry.verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
-                         for m in degrees)
+    for w in weights_list:
+        done = {}
+        for cells in blocks.values():
+            with symmetry.shared_rows():
+                for i, j in cells:
+                    q, lam = points[j]
+                    done[i, j] = [symmetry.verify(kind, w, m, x=xs[i], lam=lam, q=q).to_json_dict()
+                                  for m in degrees]
+        items.extend(item for cell in sorted(done) for item in done[cell])
     return SuiteResult(
         name=f"verify-{kind}",
         params={

@@ -8,8 +8,8 @@ numbers and a power-sum kernel (thm3_expr), and the generating-series
 coefficient list (thm1_coeffs).  Each is invariant under sigma, and the
 first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
-Inside a shared_rows() block, thm2_expr shares its box plans and degenerate
-values, and thm3_expr its lam-free rows.
+A shared_rows() block holds all the work they share, and nothing outlives
+it: thm2 box plans and degenerate values, thm3 lam-free rows and kernel sums.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -45,17 +44,9 @@ __all__ = [
 
 DEFAULT_PERMUTATION_CAP = 6           # n! enumeration stays trivial up to here
 
-# Box sums kept by kernel_K.  A thm3 sweep over degrees, x and sigma asks
-# for the same (head, i, t, q, b) again and again, and thm_suite loops over
-# x outside q, so a bound below one x pass's distinct sums misses them all
-# again on every pass.  The (1,2,3,4) fixture at degrees 0..6 and ten bases
-# needs 6720 (24 heads x 28 (i, t) pairs x 10 bases): 20,160 misses at a
-# bound of 4096, 6720 at this one.  The seven n <= 3 fixtures need 1176.
-KERNEL_CACHE_SIZE = 8192
-
 VERIFY_KINDS = ("thm1", "thm2", "thm3", "eq20")
 
-# The memo of the open shared_rows() block, if any: thm2 plans and values, thm3 rows.
+# The memo of the open shared_rows() block, if any.
 _open_rows: ContextVar[Optional[dict]] = ContextVar("_open_rows", default=None)
 
 
@@ -136,26 +127,8 @@ def kernel_K(
     Each point k contributes q^{b(t+1)S} * [S]_{q^b}^i with
     S = sum_j (prod_{l != j} u_l) k_j.  The empty box (no u at all) has
     the single point k = (), so the value is 1 when i = 0 and 0 otherwise
-    (0^0 = 1 throughout).  The box is not walked: _kernel_box_sum sums
-    its closed form.  Every call checks its arguments (q and b as
-    QContext(q, b) does); the sum itself is memoized on the exact head
-    tuple, never on a sorted one, so each permutation's box is evaluated
-    on its own.
-    """
-    ctx = QContext(q, operator.index(b))
-    i, t = operator.index(i), operator.index(t)
-    if i < 0 or t < 0:
-        raise ValueError("i and t must be nonnegative")
-    u = tuple(operator.index(x) for x in u)
-    if any(x < 1 for x in u):
-        raise ValueError(f"box weights must be positive integers, got {u}")
-    return _kernel_box_sum(u, i, t, ctx.q, ctx.c)
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _kernel_box_sum(u: Tuple[int, ...], i: int, t: int, q: Fraction, b: int) -> Fraction:
-    """The box sum in closed form, over one common integer denominator.
-
+    (0^0 = 1 throughout).  Every call checks its arguments (q and b as
+    QContext(q, b) does) and sums the box in closed form, without walking it.
     With Q = q^b, U = prod(u) and P_l = U / u_l, expanding [S]_Q^i by the
     binomial theorem splits the box into one geometric sum per axis:
 
@@ -167,7 +140,14 @@ def _kernel_box_sum(u: Tuple[int, ...], i: int, t: int, q: Fraction, b: int) -> 
     product over the axes is an integer over d^(eG), G = len(u) U - sum P,
     and the whole sum is one Fraction.
     """
-    Q = q**b
+    ctx = QContext(q, operator.index(b))
+    i, t = operator.index(i), operator.index(t)
+    if i < 0 or t < 0:
+        raise ValueError("i and t must be nonnegative")
+    u = tuple(operator.index(x) for x in u)
+    if any(x < 1 for x in u):
+        raise ValueError(f"box weights must be positive integers, got {u}")
+    Q = ctx.q**ctx.c
     a, d = Q.numerator, Q.denominator
     U = prod(u)
     P = [U // x for x in u]
@@ -181,6 +161,12 @@ def _kernel_box_sum(u: Tuple[int, ...], i: int, t: int, q: Fraction, b: int) -> 
             term *= top // (d ** (e * Pl) - a ** (e * Pl))
         total += -term if j % 2 else term
     return Fraction(total * d**i, (d - a) ** i * d ** ((t + 1 + i) * G))
+
+
+def _block() -> dict:
+    """The open shared_rows() block's memo, or a fresh one outside a block."""
+    memo = _open_rows.get()
+    return {} if memo is None else memo
 
 
 def thm2_expr(
@@ -207,9 +193,7 @@ def thm2_expr(
     q = as_rational(q)
     x = as_rational(x)
     lam = as_rational(lam)
-    memo = _open_rows.get()
-    if memo is None:
-        memo = {}
+    memo = _block()
     plan = memo.get(("thm2", view.permuted, x, q))
     if plan is None:
         # y keyed as (numerator, denominator): a Fraction hash is a modular inverse
@@ -246,24 +230,28 @@ def thm3_expr(
         T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s)
               beta_{s,q^W}(v x) K(u | p-s, s),
 
-    with the kernel at base exponent v.  The row is built afresh on every
-    call, except inside a shared_rows() block, where each T_p is built once
-    for the key (view.permuted, x, q) and later degrees extend that row.
-    Kept as a genuinely different route: it runs through kernel_K, so eq20
-    has teeth.
+    with the kernel at base exponent v.  A shared_rows() block keeps the row
+    per (view.permuted, x, q) and the kernel sums per (view.permuted, q),
+    never per sorted head, and later degrees extend both in place; outside
+    a block both are built afresh.  Kept as a genuinely different route: it
+    runs through kernel_K, so eq20 has teeth.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
     x = as_rational(x)
-    rows = _open_rows.get()
-    row = [] if rows is None else rows.setdefault(("thm3", view.permuted, x, q), [])
+    memo = _block()
+    row = memo.setdefault(("thm3", view.permuted, x, q), [])
     if len(row) <= m:
+        # anti-diagonals [K(p - s, s) for s <= p] of the view's kernel sums
+        kernel = memo.setdefault(("kernel", view.permuted, q), [])
+        kernel.extend([kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1)]
+                      for p in range(len(kernel), m + 1))
         base = QContext(q)
         Wq, vq = qnum(view.W, base), qnum(view.v, base)
         beta = carlitz_poly_values(m, view.v * x, QContext(q, c=view.W))
-        row.extend(sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
-                       * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1))
+        row.extend(sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s] * kernel[p][s]
+                       for s in range(p + 1))
                    for p in range(len(row), m + 1))
     return stirling_transform(row[: m + 1], lam)
 
@@ -272,8 +260,8 @@ def thm3_expr(
 def shared_rows() -> Iterator[None]:
     """Let the thm2_expr and thm3_expr calls in the block share their work.
 
-    The thm2 plans and values and the thm3 rows are dropped when the block
-    ends, so none outlives the block that built it.
+    The block's memo is the symmetry layer's only one, and it is dropped when
+    the block ends: a routine patched afterwards is reached by every call.
     """
     token = _open_rows.set({})
     try:

@@ -1,5 +1,6 @@
 """Suite drivers: seeded sampling and report assembly."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from qbern.suites import (
     stirling_mu1_suite,
     thm_suite,
 )
+from qbern.symmetry import verify
 
 
 class TestSampling:
@@ -59,6 +61,17 @@ class TestThmSuite:
         assert res.ok
         assert len(res.items) == 2
         assert res.params["order"] == 3
+
+    @pytest.mark.parametrize("kind", ["thm2", "eq20"])
+    def test_items_keep_their_order_when_points_share_a_q(self, kind):
+        # one block per (w, q) runs the two points at q = 3 together, yet each
+        # item must sit where a direct sweep of verify calls puts it
+        weights, xs = [(2, 3), (1, 2, 2)], (0, Fraction(1, 2))
+        points = [(Fraction(3), Fraction(1, 2)), (Fraction(-7, 3), Fraction(0)),
+                  (Fraction(3), Fraction(-2))]
+        expected = [verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
+                    for w, x, (q, lam), m in itertools.product(weights, xs, points, range(3))]
+        assert list(thm_suite(kind, weights, 2, xs=xs, points=points).items) == expected
 
     def test_explicit_points_override_sampling(self):
         pts = [(Fraction(2), Fraction(1))]

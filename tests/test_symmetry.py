@@ -1,6 +1,7 @@
 """Permutation-invariance checks for the weighted identity expressions."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -146,29 +147,41 @@ class TestKernel:
     def test_matches_brute_force_box_sum(self, u, i, t, q, b):
         expected = self._brute_force(u, i, t, q, b)
         assert kernel_K(u, i, t, q, b) == expected
-        assert kernel_K(u, i, t, q, b) == expected      # answered from the memo
 
-    def test_permuted_head_is_its_own_box(self):
-        # the memo keys on the head as given: each permutation is summed once
-        q = Fraction(1013, 7)                        # a base no other test uses
-        misses = symmetry._kernel_box_sum.cache_info().misses
-        for u in itertools.permutations((1, 2, 3)):
-            assert kernel_K(u, 2, 1, q) == self._brute_force(u, 2, 1, q, 1)
-            assert kernel_K(u, 2, 1, q) == self._brute_force(u, 2, 1, q, 1)
-        assert symmetry._kernel_box_sum.cache_info().misses - misses == 6
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        calls = []
+        real = symmetry.kernel_K
+        monkeypatch.setattr(symmetry, "kernel_K", lambda *args: calls.append(args) or real(*args))
+        return calls
 
-    def test_memo_holds_a_four_weight_sweep(self):
-        # thm_suite loops over x outside q, so each x pass must find the sums
-        # of the last one: every (head, i, t, q) is summed exactly once
+    def test_permuted_head_is_its_own_box(self, monkeypatch):
+        # a block keys the kernel sums on the view's head as given: the views
+        # of (1,2,3,4) with v = 4 have the six orderings of (1,2,3) as heads,
+        # whose sums are equal, and each is still summed on its own, once
+        calls = self._count_kernel_calls(monkeypatch)
+        views = [view for view in WeightVector((1, 2, 3, 4)).views() if view.v == 4]
+        assert sorted(view.head for view in views) == sorted(itertools.permutations((1, 2, 3)))
+        with symmetry.shared_rows():
+            for x, lam in itertools.product((0, 1), (Fraction(0), Fraction(1, 2))):
+                for view in views:
+                    thm3_expr(view, 2, x, lam, Fraction(5, 3))
+        # 6 (i, t) pairs with i + t <= 2 per head
+        assert Counter(args[0] for args in calls) == {view.head: 6 for view in views}
+        assert len(set(calls)) == len(calls)
+
+    def test_suite_sums_each_kernel_once_per_q(self, monkeypatch):
+        # thm_suite opens one block per (w, q) for every x and lam, so each
+        # (head, i, t, q) is summed once, not once per x
+        calls = self._count_kernel_calls(monkeypatch)
         points = q_lam_points(40, 0)
         distinct_q = len({q for q, _ in points})
         assert distinct_q == 34
-        symmetry._kernel_box_sum.cache_clear()
-        thm_suite("thm3", [(1, 2, 3, 4)], 2, points=points)
+        assert thm_suite("thm3", [(1, 2, 3, 4)], 2, points=points).ok
         # 24 heads x 6 (i, t) pairs with i + t <= 2
-        assert symmetry._kernel_box_sum.cache_info().misses == 24 * 6 * distinct_q
+        assert len(calls) == len(set(calls)) == 24 * 6 * distinct_q == 4896
 
-    def test_bad_arguments_raise_after_caching(self):
+    def test_bad_arguments_raise_after_a_good_call(self):
         assert kernel_K((2, 3), 1, 0, Fraction(3)) == self._brute_force((2, 3), 1, 0, Fraction(3), 1)
         for q in (Fraction(0), Fraction(1), Fraction(-1)):
             with pytest.raises(ValueError):
