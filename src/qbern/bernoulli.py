@@ -16,13 +16,14 @@ and the fully degenerate version is their exactnum.stirling_transform
 
 which at L = 0 collapses to b_n(y) (0**0 == 1).
 
-One memo, _carlitz_row, keeps every row b_0(y), b_1(y), ... under the key
-(q, c, e) with e = c*y: b_n(y) depends on y only through Q^y = q^e and
+Every row b_0(y), b_1(y), ... lives in the exactnum.shared_rows() block,
+keyed by q's numerator and denominator (a Fraction hash is a modular
+inverse), c and e = c*y: b_n(y) depends on y only through Q^y = q^e and
 [y]_Q.  The row e = 0 is the number table, since b_n(0) = b_n; the
 classical numbers, the q -> 1 limit, are the row (1, 1, 0), which no
-QContext can take.  Rows grow in place, so a sweep over degrees 0..M pays
-one new value per degree, and a base that symmetry verification reuses
-thousands of times builds its table once.
+QContext can take.  Rows grow in place, so a block's sweep over degrees
+0..M pays one new value per degree and builds each table once; outside a
+block every call starts afresh, and no row outlives its block.
 
 A row of values at y != 0 is summed over one common denominator: the
 number table, Q^y and [y]_Q are split into integer numerators and
@@ -33,13 +34,11 @@ inside the sums.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 from typing import List, Tuple
 
-from .exactnum import RatFuncQ, RationalLike, as_rational, binom, stirling_transform
+from .exactnum import RatFuncQ, RationalLike, _block, as_rational, binom, stirling_transform
 from .qcore import QContext, _int_exponent
 
 __all__ = [
@@ -53,24 +52,11 @@ __all__ = [
 ]
 
 
-# Rows kept, number tables included, least recently used evicted first.
-# In a thm_suite block every degree of one (x, q, lam) pass asks again for
-# at most one row per box point of each distinct W plus one table per W:
-# 31 + 3 keys for (2,3,5), 50 + 4 for (1,2,3,4), 274 + 5 for (1,2,3,4,5).
-# A bound below that evicts rows before the next degree asks again.  Only
-# weight vectors that share a W ask again after the pass, and the margin
-# keeps most of those rows: the criterion 1 grid (2,490 distinct keys)
-# builds 2,572 at 1024, 2,665 at 512 and 2,795 at 256.
-CARLITZ_CACHE_ROWS = 1024
-
-_cache_lock = threading.Lock()
+_ONE = Fraction(1)
 
 
-@lru_cache(maxsize=CARLITZ_CACHE_ROWS)
 def _carlitz_row(q: Fraction, c: int, e: int) -> List[Fraction]:
-    # b_0(y), b_1(y), ... at base q^c with Q^y = q^e (b_0(y) = 1), grown in
-    # place by carlitz_numbers at e = 0 and carlitz_poly_values elsewhere
-    return [Fraction(1)]
+    return _block().setdefault(("carlitz", q.numerator, q.denominator, c, e), [_ONE])
 
 
 def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
@@ -80,18 +66,17 @@ def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    with _cache_lock:
-        table = _carlitz_row(ctx.q, ctx.c, 0)
-        if len(table) <= nmax:
-            Q = ctx.q ** ctx.c
-            qpow = [Q ** l for l in range(nmax + 2)]
-            for n in range(len(table), nmax + 1):
-                acc = Fraction(0)
-                for l in range(n):
-                    acc += binom(n, l) * qpow[l] * table[l]
-                delta = 1 if n == 1 else 0
-                table.append((delta - Q * acc) / (qpow[n + 1] - 1))
-        return tuple(table[: nmax + 1])
+    table = _carlitz_row(ctx.q, ctx.c, 0)
+    if len(table) <= nmax:
+        Q = ctx.q ** ctx.c
+        qpow = [Q ** l for l in range(nmax + 2)]
+        for n in range(len(table), nmax + 1):
+            acc = Fraction(0)
+            for l in range(n):
+                acc += binom(n, l) * qpow[l] * table[l]
+            delta = 1 if n == 1 else 0
+            table.append((delta - Q * acc) / (qpow[n + 1] - 1))
+    return tuple(table[: nmax + 1])
 
 
 def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fraction]:
@@ -103,10 +88,10 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
         b_n(y) = sum_l C(n,l) a^l E_l r^(n-l) / (D s^n),
 
     where a = u*w, r = t*v and s = v*w: an integer sum and one Fraction.
-    The values are memoized per (q, c, e), e = c*y, in a row that grows in
-    place from the number table: a call computes only the degrees no
-    earlier call reached and returns a copy of the row's first nmax + 1
-    values.  At c*y = 0 the row is the number table itself.
+    Inside a shared_rows() block the values are kept per (q, c, c*y) in a
+    row that grows in place from the number table: a call computes only the
+    degrees no earlier call reached and returns a copy of the row's first
+    nmax + 1 values.  At c*y = 0 the row is the number table itself.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
@@ -116,7 +101,7 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
         return list(carlitz_numbers(nmax, ctx))
     row = _carlitz_row(ctx.q, ctx.c, e)
     if len(row) <= nmax:
-        betas = carlitz_numbers(nmax, ctx)   # takes _cache_lock: not while holding it
+        betas = carlitz_numbers(nmax, ctx)
         qy = ctx.q ** e                      # Q^y with Q = q^c
         bracket = (1 - qy) / (1 - ctx.q ** ctx.c)
         D = lcm(*(b.denominator for b in betas))
@@ -129,10 +114,9 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
         for _ in range(nmax):
             a_pow.append(a_pow[-1] * a)
             r_pow.append(r_pow[-1] * r)
-        with _cache_lock:
-            for n in range(len(row), nmax + 1):
-                acc = sum(comb(n, l) * a_pow[l] * E[l] * r_pow[n - l] for l in range(n + 1))
-                row.append(Fraction(acc, D * s**n))
+        for n in range(len(row), nmax + 1):
+            acc = sum(comb(n, l) * a_pow[l] * E[l] * r_pow[n - l] for l in range(n + 1))
+            row.append(Fraction(acc, D * s**n))
     return row[: nmax + 1]
 
 
@@ -159,11 +143,10 @@ def classical_numbers(nmax: int) -> Tuple[Fraction, ...]:
     """Bernoulli numbers (B_0, ..., B_nmax) from sum_{k<n} C(n,k) B_k = 0 (n >= 2)."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    with _cache_lock:
-        table = _carlitz_row(Fraction(1), 1, 0)
-        for n in range(len(table) + 1, nmax + 2):  # recurrence index: B_{n-1} from row n
-            table.append(-sum(binom(n, k) * table[k] for k in range(n - 1)) / n)
-        return tuple(table[: nmax + 1])
+    table = _carlitz_row(_ONE, 1, 0)
+    for n in range(len(table) + 1, nmax + 2):  # recurrence index: B_{n-1} from row n
+        table.append(-sum(binom(n, k) * table[k] for k in range(n - 1)) / n)
+    return tuple(table[: nmax + 1])
 
 
 def classical_poly(m: int, x: RationalLike) -> Fraction:

@@ -326,16 +326,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     except OSError as exc:                        # --help could not be written
         return _error(exc)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)                 # exact values print whatever their size
     try:
         _check_flags(ns, rest)
-        if ns.command == "compute":
-            doc = _run_compute(ns)
-        elif ns.command == "verify":
-            doc = _run_verify(ns)
-        else:
-            doc = _run_oracle(ns)
+        doc = dict(compute=_run_compute, verify=_run_verify, oracle=_run_oracle)[ns.command](ns)
     except (UsageError, ValueError) as exc:
         return _error(exc)
+    finally:
+        sys.set_int_max_str_digits(limit)
     payload = _render(doc, ns.fmt)
     try:
         if ns.out:

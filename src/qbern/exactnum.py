@@ -10,7 +10,9 @@ supplies the shared scalar toolbox:
   which at ``lam == 0`` is the row's last value,
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
-  which takes its exact limits such as ``q -> 1``.
+  which takes its exact limits such as ``q -> 1``,
+* ``shared_rows()``, the scope of every layer's shared rows, sums and
+  expansions: a block's calls keep them in its dict, and none outlives it.
 
 Stirling numbers use the signed convention fixed by
 
@@ -21,11 +23,13 @@ and the empty product / ``0**0 == 1`` conventions hold throughout.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "RationalLike",
@@ -39,6 +43,9 @@ __all__ = [
 ]
 
 RationalLike = Union[Fraction, int, str]
+
+# The memo of the open shared_rows() block, if any.
+_open_rows: ContextVar[Optional[dict]] = ContextVar("_open_rows", default=None)
 
 
 class PoleError(ArithmeticError):
@@ -56,9 +63,31 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Serialize a rational as "num/den" (denominator always present)."""
+    """Serialize a rational as "num/den" (denominator always present).
+
+    Past CPython's 4300-digit default, call sys.set_int_max_str_digits(0) first.
+    """
     v = as_rational(value)
     return f"{v.numerator}/{v.denominator}"
+
+
+@contextmanager
+def shared_rows() -> Iterator[None]:
+    """Let the calls in the block, and blocks nested in it, share one memo until it ends.
+
+    A ContextVar holds the memo, so a thread started inside sees none of it.
+    """
+    token = _open_rows.set(_block())
+    try:
+        yield
+    finally:
+        _open_rows.reset(token)
+
+
+def _block() -> dict:
+    """The open shared_rows() block's memo, or a fresh one outside a block."""
+    memo = _open_rows.get()
+    return {} if memo is None else memo
 
 
 def binom(e: RationalLike, k: int) -> Fraction:

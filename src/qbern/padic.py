@@ -9,10 +9,11 @@ of (sum at level N) - (claimed limit) climb strictly.
 Both sums are closed forms, so a level costs the same whatever p^N is.
 The q-weighted sums expand the integrand once in z = q^y and divide each
 power's geometric sum by [p^N]_q symbolically, so the level enters only
-through Z = q^(p^N); the uniform sums add forward differences of the
-integrand on the binomial basis.  Everything stays in exact rational
-arithmetic until the final valuation is read off; no modular inverses of
-quantities with positive valuation are ever needed.
+through Z = q^(p^N); a shared_rows() block keeps that expansion for every
+level until the block ends.  The uniform sums add forward differences of
+the integrand on the binomial basis.  Everything stays exact until the
+final valuation is read off; no modular inverses of quantities with
+positive valuation are ever needed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .exactnum import RationalLike, as_rational
+from .exactnum import RationalLike, _block, as_rational
 
 __all__ = [
     "INF",
@@ -114,20 +115,12 @@ def _check_x0(x0) -> int:
     return int(x0)
 
 
-def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Fraction:
+def _expansion(n: int, x0: int, q: Fraction, lam: Fraction) -> List[Fraction]:
     # (1/[p^N]_q) sum_{y<p^N} prod_{i<n}([x0+y]_q - i*lam) q^y.  With
     # z = q^y the product is (1-q)^-n sum_j c_j z^j, each factor being
     # (1 - i*lam*(1-q) - q^x0 z)/(1-q); z^j q^y sums to a geometric series
     # whose ratio to [p^N]_q is (q-1)/(q^(j+1)-1) sum_{k<=j} Z^k, Z = q^(p^N).
-    # So the sum is sum_k e_k Z^k with level-free e_k; lam is passed apart
-    # from params so the lam = 0 case builds no new params.
-    n, N = operator.index(n), operator.index(N)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    x0 = _check_x0(x0)
-    if N < 1:
-        raise ValueError(f"level N must be >= 1, got {N}")
-    q = params.q
+    # So the sum is sum_k e_k Z^k; this returns the level-free e_k.
     lead = -(q**x0)
     coeffs = [Fraction(1)]
     for i in range(n):
@@ -139,7 +132,21 @@ def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Frac
         coeffs = nxt
     scale = (q - 1) / (1 - q) ** n
     terms = [cj * scale / (q ** (j + 1) - 1) for j, cj in enumerate(coeffs)]
-    return _at_level([sum(terms[k:]) for k in range(n + 1)], q, params.p**N)
+    return [sum(terms[k:]) for k in range(n + 1)]
+
+
+def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Fraction:
+    # lam is passed apart from params so the lam = 0 case builds no new params
+    n, N = operator.index(n), operator.index(N)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    x0 = _check_x0(x0)
+    if N < 1:
+        raise ValueError(f"level N must be >= 1, got {N}")
+    memo, key = _block(), ("riemann", n, x0, params.q, lam)
+    if key not in memo:
+        memo[key] = _expansion(n, x0, params.q, lam)
+    return _at_level(memo[key], params.q, params.p**N)
 
 
 def riemann_sum_carlitz(n: int, x0: int, params: PadicParams, N: int) -> Fraction:

@@ -149,27 +149,24 @@ def thm_suite(
     cell; the other kinds sweep every degree m <= m_max.  points overrides
     the seeded (q, lam) list when given.  Items come out in (w, x, point, m)
     order, each from its own verify call, but the calls run in one
-    symmetry.shared_rows() block per weight vector and q, over every x and
-    lam, on which kernel sums do not depend; a block per w would hold every
-    q's work at once.  Views with the same W and points with the same q also
-    share Carlitz value rows, memoized per (q, W, y) by carlitz_poly_values.
+    exactnum.shared_rows() block per distinct q, over every weight vector,
+    x and lam: views of any weight vector that share a W share that q's
+    Carlitz rows and degenerate values, and no q's work outlives its block.
     """
     if points is None:
         points = q_lam_points(samples, seed)
     degrees = [m_max] if kind == "thm1" else range(m_max + 1)
-    blocks: Dict[Fraction, List[Tuple[int, int]]] = {}
-    for i, j in itertools.product(range(len(xs)), range(len(points))):
-        blocks.setdefault(points[j][0], []).append((i, j))
-    items: List[Dict[str, object]] = []
-    for w in weights_list:
-        done = {}
-        for cells in blocks.values():
-            with symmetry.shared_rows():
-                for i, j in cells:
-                    q, lam = points[j]
-                    done[i, j] = [symmetry.verify(kind, w, m, x=xs[i], lam=lam, q=q).to_json_dict()
-                                  for m in degrees]
-        items.extend(item for cell in sorted(done) for item in done[cell])
+    blocks: Dict[Fraction, List[Tuple[int, int, int]]] = {}
+    for w, i, j in itertools.product(range(len(weights_list)), range(len(xs)), range(len(points))):
+        blocks.setdefault(points[j][0], []).append((w, i, j))
+    done = {}
+    for cells in blocks.values():
+        with exactnum.shared_rows():
+            for w, i, j in cells:
+                q, lam = points[j]
+                done[w, i, j] = [symmetry.verify(kind, weights_list[w], m, x=xs[i], lam=lam, q=q)
+                                 .to_json_dict() for m in degrees]
+    items = [item for cell in sorted(done) for item in done[cell]]
     return SuiteResult(
         name=f"verify-{kind}",
         params={
@@ -251,6 +248,7 @@ def series_factor_suite(order: int = 12, samples: int = 20, seed: int = 0) -> Su
     )
 
 
+@exactnum.shared_rows()
 def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> SuiteResult:
     """Series values against their expansion over signed Stirling numbers.
 
@@ -258,6 +256,7 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
     value must equal sum_m S1(n, m) lam^(n-m) B_m(x) with B_m the
     classical polynomial.  exactnum.stirling_transform reads stirling1 at
     call time, so sign-convention mutations propagate into this check.
+    Each call is one shared_rows() block, which builds the classical table once.
     """
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
@@ -282,6 +281,7 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
 # -- p-adic oracle reports -------------------------------------------------------
 
 
+@exactnum.shared_rows()
 def oracle_report(
     family: str,
     n: int,
@@ -297,7 +297,8 @@ def oracle_report(
     'degenerate' the Stirling-transformed one, 'mu1' the uniform-measure
     value (log-form series for lam != 0, the classical polynomial at
     lam = 0, where the series representation is singular).  q defaults to
-    1 + p.  Growth needs at least two levels, so nmax must be >= 2.
+    1 + p.  Growth needs at least two levels, so nmax must be >= 2.  Each
+    report is one shared_rows() block: its levels share one expansion.
     """
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"family must be one of {ORACLE_FAMILIES}, got {family!r}")

@@ -1,7 +1,6 @@
 """q-Bernoulli numbers/polynomials, degenerate extension, classical tables."""
 
 import random
-import sys
 import threading
 from fractions import Fraction
 from math import comb
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbern.bernoulli as bernoulli
+import qbern.exactnum as exactnum
 from qbern import (
     InadmissibleArg,
     QContext,
@@ -121,7 +121,7 @@ class TestCarlitzPolynomials:
 
 
 class TestValueRowMemo:
-    """One memo keeps a growing row per (q, c, c*y); the row at y = 0 is the table."""
+    """A shared_rows() block keeps a growing row per (q, c, c*y); the row at y = 0 is the table."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -132,101 +132,100 @@ class TestValueRowMemo:
         st.lists(st.tuples(st.sampled_from(["numbers", "zero", "y"]),
                            st.integers(min_value=0, max_value=7)), min_size=1, max_size=8),
     )
-    def test_any_request_order_matches_cold_calls(self, q, c, k, requests):
+    def test_any_request_order_in_a_block_matches_cold_calls(self, q, c, k, requests):
         # the table grows by the recurrence and a row at y != 0 by its sums
-        # from the table; any interleaving of the two must give cold values
+        # from the table; any interleaving of the two in one block must give
+        # the values of calls made outside a block, where every call is cold
         ctx = QContext(q, c=c)
         calls = {
             "numbers": lambda n: carlitz_numbers(n, ctx),
             "zero": lambda n: carlitz_poly_values(n, 0, ctx),
             "y": lambda n: carlitz_poly_values(n, Fraction(k, c), ctx),
         }
-        bernoulli._carlitz_row.cache_clear()
-        warm = [calls[kind](nmax) for kind, nmax in requests]
+        with exactnum.shared_rows():
+            warm = [calls[kind](nmax) for kind, nmax in requests]
         for (kind, nmax), got in zip(requests, warm):
-            bernoulli._carlitz_row.cache_clear()
             assert got == calls[kind](nmax)
+
+    def test_bases_that_share_a_numerator_or_a_denominator_keep_their_own_rows(self):
+        # a row is keyed by q's numerator and denominator, c and e = c*y:
+        # here every base shares one of them with another, and e = 6 for all
+        bases = [QContext(Fraction(2, 3)), QContext(Fraction(2, 5)), QContext(Fraction(4, 5)),
+                 QContext(Fraction(2, 3), c=2)]
+
+        def values():
+            return [(carlitz_numbers(5, ctx), carlitz_poly_values(5, Fraction(6, ctx.c), ctx))
+                    for ctx in bases]
+
+        expected = values()
+        with exactnum.shared_rows():
+            assert values() == expected
 
     def test_mutating_a_result_leaves_the_row_alone(self):
         ctx = QContext(Fraction(5, 3), c=2)
-        got = carlitz_poly_values(4, 3, ctx)
-        expected = list(got)
-        got[2] = Fraction(99)
-        got.append(Fraction(7))
-        del got[0]
-        assert carlitz_poly_values(4, 3, ctx) == expected
-        assert carlitz_poly_values(5, 3, ctx)[:5] == expected
+        with exactnum.shared_rows():
+            got = carlitz_poly_values(4, 3, ctx)
+            expected = list(got)
+            got[2] = Fraction(99)
+            got.append(Fraction(7))
+            del got[0]
+            assert carlitz_poly_values(4, 3, ctx) == expected
+            assert carlitz_poly_values(5, 3, ctx)[:5] == expected
 
-    def test_memo_is_bounded(self):
-        # rows and tables share one bound; every row growth touches its
-        # base's table, so the table outlives the rows of its base
-        bound = bernoulli.CARLITZ_CACHE_ROWS
-        ctx = QContext(Fraction(7, 5))
-        expected = carlitz_poly_values(3, -1, ctx)
-        for k in range(1, bound + 50):               # pushes y = -1 out
-            carlitz_poly_values(1, k, ctx)
-            assert bernoulli._carlitz_row.cache_info().currsize <= bound
-        misses = bernoulli._carlitz_row.cache_info().misses
-        assert carlitz_poly_values(3, -1, ctx) == expected
-        assert bernoulli._carlitz_row.cache_info().misses == misses + 1
-
-    def test_one_clear_exposes_a_corrupted_recurrence(self, monkeypatch):
-        # no table may outlive a clear of the memo, or a mutant binom would
-        # still be served the values computed before it
+    def test_a_patched_binom_reaches_the_next_call_with_nothing_to_clear(self, monkeypatch):
+        # no table outlives its block, so a mutant binom is never served the
+        # values computed before it, outside a block or in a new one
         ctx = QContext(Fraction(5, 3), c=2)
 
         def values():
             return (carlitz_numbers(6, ctx), carlitz_poly_values(6, Fraction(3, 2), ctx),
                     classical_numbers(6))
 
-        warm = values()
+        with exactnum.shared_rows():
+            warm = values()
         monkeypatch.setattr(bernoulli, "binom", lambda n, k: binom(n, k) + 1)
-        try:
-            bernoulli._carlitz_row.cache_clear()
-            mutant = values()
-        finally:
-            monkeypatch.undo()
-            bernoulli._carlitz_row.cache_clear()
-        for got, was in zip(mutant, warm):
-            assert got != was
+        with exactnum.shared_rows():
+            in_block = values()
+        for mutant in (values(), in_block):
+            for got, was in zip(mutant, warm):
+                assert got != was
 
-    def test_threads_growing_one_row_lose_no_update(self):
-        # the threads walk the degrees of the same rows side by side; a growth
-        # step run by two threads at once would append its values twice
+    def test_a_block_ends_with_its_rows(self, monkeypatch):
+        # the rows are bounded by the outermost block's life: inside it a
+        # table is built once, a nested block joins it, and after the end
+        # nothing is left
+        ctx = QContext(Fraction(7, 5))
+        calls = []
+        real = bernoulli.binom
+        monkeypatch.setattr(bernoulli, "binom", lambda n, k: calls.append(n) or real(n, k))
+        with exactnum.shared_rows():
+            numbers = carlitz_numbers(8, ctx)
+            assert carlitz_numbers(8, ctx) == numbers and len(calls) == 36
+            with exactnum.shared_rows():
+                assert carlitz_numbers(8, ctx) == numbers and len(calls) == 36
+            assert carlitz_numbers(8, ctx) == numbers and len(calls) == 36
+        assert exactnum._open_rows.get() is None
+        assert carlitz_numbers(8, ctx) == numbers and len(calls) == 72
+
+    def test_a_thread_started_in_a_block_sees_none_of_its_rows(self, monkeypatch):
+        # the block lives in a ContextVar, and a new thread starts with none:
+        # it builds its own table, all 1 + 2 + ... + 8 binomials of it
         ctx = QContext(Fraction(-7, 4), c=3)
-        ys = [Fraction(k, 3) for k in range(1, 6)]
-        bernoulli._carlitz_row.cache_clear()
-        expected = {y: carlitz_poly_values(24, y, ctx) for y in ys}
-        numbers = carlitz_numbers(24, ctx)
-        classical = classical_numbers(24)
-        wrong = []
-
-        def sweep(start):
-            start.wait(timeout=30)
-            for n in range(25):
-                if carlitz_numbers(n, ctx) != numbers[: n + 1]:
-                    wrong.append((n, "numbers"))
-                if classical_numbers(n) != classical[: n + 1]:
-                    wrong.append((n, "classical"))
-                for y in ys:
-                    if carlitz_poly_values(n, y, ctx) != expected[y][: n + 1]:
-                        wrong.append((n, y))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                bernoulli._carlitz_row.cache_clear()
-                start = threading.Barrier(4)
-                threads = [threading.Thread(target=sweep, args=(start,)) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert wrong == []
+        calls = []
+        real = bernoulli.binom
+        monkeypatch.setattr(bernoulli, "binom", lambda n, k: calls.append(n) or real(n, k))
+        seen = []
+        with exactnum.shared_rows():
+            numbers = carlitz_numbers(8, ctx)
+            assert len(calls) == 36
+            thread = threading.Thread(target=lambda: seen.append(carlitz_numbers(8, ctx)))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert seen == [numbers]
+            assert len(calls) == 72
+            assert carlitz_numbers(8, ctx) == numbers    # the block's own table is still there
+            assert len(calls) == 72
 
 
 class TestDegenerate:

@@ -93,6 +93,51 @@ class TestCompute:
         assert doc["params"]["q"] == "2/1"
 
 
+class TestValuesPastTheDigitLimit:
+    """Exact values of more than CPython's default 4300 digits still print, with exit 0."""
+
+    REPROS = [
+        (("compute", "stirling", "--n", "1700", "--m", "1"),
+         lambda: str(exactnum.stirling1(1700, 1))),
+        (("compute", "qbern", "--n", "40", "--q", "100000000000000000000"),
+         lambda: exactnum.rat_str(qbern.carlitz_numbers(40, qcore.QContext(10**20))[40])),
+    ]
+
+    @staticmethod
+    def _lifted(render):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return render()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv,render", REPROS)
+    def test_text_and_csv(self, capsys, argv, render):
+        expected = self._lifted(render)
+        assert len(expected) > 4300
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert list(csv.reader(io.StringIO(out)))[1][2] == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "stirling", "--n", "1700", "--m", "1"),
+        ("compute", "qbern", "--n", "2"),                     # usage error: --q is required
+        ("compute", "qbern", "--n", "2", "--q", "2", "--out", "/nonexistent/dir/report"),
+        ("compute", "qbern", "--bogus"),
+    ])
+    def test_main_leaves_the_callers_limit_as_it_found_it(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "qbern", "--q", "2/1")

@@ -1,10 +1,12 @@
 """p-adic valuations and Riemann-sum convergence checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qbern.exactnum as exactnum
 import qbern.padic as padic
 from qbern import (
     INF,
@@ -171,6 +173,37 @@ class TestDegenerateSums:
             vp(riemann_sum_degenerate(2, 0, params, N) - target, 5) for N in range(1, 6)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestSharedExpansions:
+    # one q at two primes, a lam that riemann_sum_carlitz must not read, and
+    # q, lam pairs that no other point shares
+    _points = [PadicParams(q=Fraction(16), lam=Fraction(1), p=3),
+               PadicParams(q=Fraction(16), lam=Fraction(1), p=5),
+               PadicParams(q=Fraction(16), lam=Fraction(-2, 7), p=5),
+               PadicParams(q=Fraction(-2), p=3),
+               PadicParams(q=Fraction(4, 7), lam=Fraction(1, 2), p=3)]
+    _calls = list(itertools.product((riemann_sum_carlitz, riemann_sum_degenerate), range(4),
+                                    (0, 2), _points, (1, 2)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(_calls), min_size=1, max_size=30))
+    def test_block_sums_equal_direct_calls(self, calls):
+        # a block keeps each expansion per (n, x0, q, lam), free of p and N:
+        # a key that dropped one of them would hand a later call another's
+        expected = [fn(n, x0, params, N) for fn, n, x0, params, N in calls]
+        with exactnum.shared_rows():
+            assert [fn(n, x0, params, N) for fn, n, x0, params, N in calls] == expected
+
+    @pytest.mark.parametrize("family,lam", [("carlitz", 0), ("degenerate", 1)])
+    def test_a_report_expands_its_integrand_once(self, monkeypatch, family, lam):
+        calls = []
+        real = padic._expansion
+        monkeypatch.setattr(padic, "_expansion", lambda *args: calls.append(args) or real(*args))
+        assert oracle_report(family, 3, x0=1, lam=lam, p=7, nmax=6).monotone
+        assert len(calls) == 1
+        assert oracle_report(family, 3, x0=1, lam=lam, p=7, nmax=6).monotone
+        assert len(calls) == 2                 # nothing outlives the report's block
 
 
 class TestGeometricSums:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbern.bernoulli as bernoulli
+import qbern.exactnum as exactnum
 import qbern.symmetry as symmetry
 from qbern import (
     CapExceeded,
@@ -162,7 +163,7 @@ class TestKernel:
         calls = self._count_kernel_calls(monkeypatch)
         views = [view for view in WeightVector((1, 2, 3, 4)).views() if view.v == 4]
         assert sorted(view.head for view in views) == sorted(itertools.permutations((1, 2, 3)))
-        with symmetry.shared_rows():
+        with exactnum.shared_rows():
             for x, lam in itertools.product((0, 1), (Fraction(0), Fraction(1, 2))):
                 for view in views:
                     thm3_expr(view, 2, x, lam, Fraction(5, 3))
@@ -171,7 +172,7 @@ class TestKernel:
         assert len(set(calls)) == len(calls)
 
     def test_suite_sums_each_kernel_once_per_q(self, monkeypatch):
-        # thm_suite opens one block per (w, q) for every x and lam, so each
+        # thm_suite opens one block per q for every w, x and lam, so each
         # (head, i, t, q) is summed once, not once per x
         calls = self._count_kernel_calls(monkeypatch)
         points = q_lam_points(40, 0)
@@ -237,10 +238,10 @@ class TestClosedFormExpression:
             expected *= Wq ** (m - 1)
             assert thm2_expr(view, m, 1, Fraction(0), q) == expected
 
-    def test_suite_builds_each_carlitz_row_once(self):
-        # every degree of one (w, x, q, lam) block, and every view with the
-        # same W, asks for the same (q, W, y) rows and the table at base
-        # q^W: one miss per distinct key, not one per degree or view.  Box
+    def test_suite_block_builds_each_carlitz_row_once(self, monkeypatch):
+        # every degree in one q's block, and every view with the same W,
+        # asks for the same (q, W, y) rows and the table at base
+        # q^W: one row per distinct key, not one per degree or view.  Box
         # points with equal S/W share a key (k/2 = 2k'/4 in the head
         # (1, 2, 4)), so 42 of the 50 points, plus 4 tables (W = 6, 8, 12, 24).
         keys = {(view.W, sum(Pj * kj for Pj, kj in zip(view.P, k)))
@@ -248,14 +249,13 @@ class TestClosedFormExpression:
                 for k in itertools.product(*(range(u) for u in view.head))}
         tables = {view.W for view in WeightVector((1, 2, 3, 4)).views()}
         assert (len(keys), tables) == (42, {6, 8, 12, 24})
-        bernoulli._carlitz_row.cache_clear()
+        rows = []                              # kept alive, so each id is one row object
+        real = bernoulli._carlitz_row
+        monkeypatch.setattr(bernoulli, "_carlitz_row",
+                            lambda *key: rows.append(real(*key)) or rows[-1])
         res = thm_suite("thm2", [(1, 2, 3, 4)], 3, xs=(1,), points=[(Fraction(3), Fraction(2, 5))])
         assert res.ok
-        assert bernoulli._carlitz_row.cache_info().misses == len(keys) + len(tables) == 46
-        # one block of the five-weight fixture, rows and tables, fits under the bound
-        boxes = {view.W: prod(view.head) for view in WeightVector((1, 2, 3, 4, 5)).views()}
-        assert (sum(boxes.values()), len(boxes)) == (274, 5)
-        assert 274 + 5 <= bernoulli.CARLITZ_CACHE_ROWS
+        assert len({id(row) for row in rows}) == len(keys) + len(tables) == 46
 
     # views of two weight vectors that share W = 6 at different v, and a
     # repeated weight, so equal heads and equal W meet inside one block
@@ -272,7 +272,7 @@ class TestClosedFormExpression:
             views, range(4), (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(-3, 2)),
             (Fraction(3), Fraction(-7, 3))))))
         expected = [thm2_expr(*call) for call in calls]
-        with symmetry.shared_rows():
+        with exactnum.shared_rows():
             assert [thm2_expr(*call) for call in calls] == expected
 
     def test_block_takes_each_degenerate_value_once(self, monkeypatch):
@@ -288,6 +288,39 @@ class TestClosedFormExpression:
         res = thm_suite("thm2", [(1, 2, 3, 4)], 3, xs=(1,), points=[(Fraction(2), Fraction(2, 5))])
         assert res.ok
         assert len(calls) == 4 * len(keys) == 168
+
+    def test_a_direct_verify_call_is_one_block(self, monkeypatch):
+        # outside any block a verify call still shares rows and tables
+        # across its views: one row per (W, y) and one table per W
+        rows = []                              # kept alive, so each id is one row object
+        real = bernoulli._carlitz_row
+        monkeypatch.setattr(bernoulli, "_carlitz_row",
+                            lambda *key: rows.append(real(*key)) or rows[-1])
+        assert verify("thm2", (1, 2, 3, 4), 3, x=1, lam=Fraction(2, 5), q=Fraction(3)).ok
+        assert len({id(row) for row in rows}) == 42 + 4
+
+    def test_suite_block_spans_weight_vectors_that_share_a_w(self, monkeypatch):
+        # every (W, y) of (2,3,4) is one of (1,2,3,4) too (W = 6, 8, 12 at
+        # the same v): one block per q takes each value once per degree,
+        # where a block per weight vector would take those 24 twice
+        calls = []
+        real = symmetry.degenerate_qpoly
+        monkeypatch.setattr(symmetry, "degenerate_qpoly",
+                            lambda *args: calls.append(args) or real(*args))
+
+        def values(w):
+            return {(view.W, view.v * (1 + Fraction(sum(Pj * kj for Pj, kj in zip(view.P, k)),
+                                                    view.W)))
+                    for view in WeightVector(w).views()
+                    for k in itertools.product(*(range(u) for u in view.head))}
+
+        shared = values((1, 2, 3, 4)) | values((2, 3, 4))
+        per_vector = len(values((1, 2, 3, 4))) + len(values((2, 3, 4)))
+        assert (len(shared), per_vector) == (42, 42 + 24)
+        res = thm_suite("thm2", [(1, 2, 3, 4), (2, 3, 4)], 3, xs=(1,),
+                        points=[(Fraction(2), Fraction(2, 5)), (Fraction(-5, 3), Fraction(1))])
+        assert res.ok
+        assert len(calls) == 2 * 4 * len(shared)
 
 
 class TestKernelExpansion:
