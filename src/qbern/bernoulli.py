@@ -88,10 +88,8 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
         b_n(y) = sum_l C(n,l) a^l E_l r^(n-l) / (D s^n),
 
     where a = u*w, r = t*v and s = v*w: an integer sum and one Fraction.
-    Inside a shared_rows() block the values are kept per (q, c, c*y) in a
-    row that grows in place from the number table: a call computes only the
-    degrees no earlier call reached and returns a copy of the row's first
-    nmax + 1 values.  At c*y = 0 the row is the number table itself.
+    A call extends the block's row for (q, c, c*y) by the degrees it lacks
+    and returns a copy of its first nmax + 1 values (see the module docstring).
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")

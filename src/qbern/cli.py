@@ -330,7 +330,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sys.set_int_max_str_digits(0)                 # exact values print whatever their size
     try:
         _check_flags(ns, rest)
-        doc = dict(compute=_run_compute, verify=_run_verify, oracle=_run_oracle)[ns.command](ns)
+        if ns.command == "compute":
+            doc = _run_compute(ns)
+        elif ns.command == "verify":
+            doc = _run_verify(ns)
+        else:
+            doc = _run_oracle(ns)
     except (UsageError, ValueError) as exc:
         return _error(exc)
     finally:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from threading import get_ident
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -44,8 +45,8 @@ __all__ = [
 
 RationalLike = Union[Fraction, int, str]
 
-# The memo of the open shared_rows() block, if any.
-_open_rows: ContextVar[Optional[dict]] = ContextVar("_open_rows", default=None)
+# The open shared_rows() block, if any: the thread that opened it and its memo.
+_open_rows: ContextVar[Optional[Tuple[int, dict]]] = ContextVar("_open_rows", default=None)
 
 
 class PoleError(ArithmeticError):
@@ -75,9 +76,9 @@ def rat_str(value: Fraction) -> str:
 def shared_rows() -> Iterator[None]:
     """Let the calls in the block, and blocks nested in it, share one memo until it ends.
 
-    A ContextVar holds the memo, so a thread started inside sees none of it.
+    Only the opening thread sees the memo, even where another inherits the context.
     """
-    token = _open_rows.set(_block())
+    token = _open_rows.set((get_ident(), _block()))
     try:
         yield
     finally:
@@ -85,9 +86,9 @@ def shared_rows() -> Iterator[None]:
 
 
 def _block() -> dict:
-    """The open shared_rows() block's memo, or a fresh one outside a block."""
-    memo = _open_rows.get()
-    return {} if memo is None else memo
+    """The memo of the block this thread opened, or a fresh one outside a block."""
+    block = _open_rows.get()
+    return block[1] if block is not None and block[0] == get_ident() else {}
 
 
 def binom(e: RationalLike, k: int) -> Fraction:

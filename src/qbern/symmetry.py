@@ -8,8 +8,9 @@ numbers and a power-sum kernel (thm3_expr), and the generating-series
 coefficient list (thm1_coeffs).  Each is invariant under sigma, and the
 first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
-An exactnum.shared_rows() block holds their shared work, and nothing outlives
-it: thm2 box plans and degenerate values, thm3 lam-free rows and kernel sums.
+Each verify, thm1_coeffs and thm2_expr call is one exactnum.shared_rows()
+block, or joins the open one, which holds thm2 box plans and degenerate values
+and thm3 lam-free rows and kernel sums until it ends (thm3_expr needs none).
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -19,15 +20,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
-from .exactnum import (RationalLike, _block, _open_rows, as_rational, rat_str, shared_rows,
-                       stirling_transform)
+from .exactnum import RationalLike, _block, as_rational, rat_str, shared_rows, stirling_transform
 from .qcore import QContext, qnum
 
 __all__ = [
@@ -160,6 +159,7 @@ def kernel_K(
     return Fraction(total * d**i, (d - a) ** i * d ** ((t + 1 + i) * G))
 
 
+@shared_rows()
 def thm2_expr(
     view: SigmaView,
     m: int,
@@ -175,9 +175,9 @@ def thm2_expr(
     S = sum_j P_j k_j.  Exact; m = 0 uses the rational inverse of [W]_q.
 
     One walk of the view's own head and P (never a sorted one) folds its box
-    into distinct y with summed weights.  Inside a shared_rows() block that
-    plan is kept per (view.permuted, x, q), and each value per (m, lam/[W]_q,
-    q, W, y) for every view with that W; outside a block both are built afresh.
+    into distinct y with summed weights.  The call's shared_rows() block keeps
+    that plan per (view.permuted, x, q), and each value per (m, lam/[W]_q, q,
+    W, y) for every view with that W, so its values share one number table.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -247,6 +247,7 @@ def thm3_expr(
     return stirling_transform(row[: m + 1], lam)
 
 
+@shared_rows()
 def thm1_coeffs(
     view: SigmaView,
     order: int,
@@ -254,7 +255,7 @@ def thm1_coeffs(
     lam: RationalLike,
     q: RationalLike,
 ) -> List[Fraction]:
-    """Generating-series coefficients through t^order: thm2_expr(m)/m!."""
+    """Generating-series coefficients through t^order: thm2_expr(m)/m!, in one block."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return [thm2_expr(view, m, x, lam, q) / factorial(m) for m in range(order + 1)]
@@ -300,6 +301,7 @@ def _value_json(val: ReportValue):
     return [rat_str(c) for c in val]
 
 
+@shared_rows()
 def verify(
     kind: str,
     weights: Union[WeightVector, Sequence[int]],
@@ -317,8 +319,7 @@ def verify(
     of S_n in lexicographic order and refuses more than
     DEFAULT_PERMUTATION_CAP weights (CapExceeded).  The expression
     evaluators are looked up as module globals at call time, so a test
-    can swap in a corrupted variant and watch the verdict flip.  Each call
-    is one shared_rows() block, or joins the block already open.
+    can swap in a corrupted variant and watch the verdict flip.
     """
     if kind not in VERIFY_KINDS:
         raise ValueError(f"kind must be one of {VERIFY_KINDS}, got {kind!r}")
@@ -338,18 +339,16 @@ def verify(
     }
 
     values: List[Tuple[Tuple[int, ...], ReportValue]] = []
-    # inside an open block nullcontext joins it: shared_rows() would too, at ~2.5 us a call
-    with shared_rows() if _open_rows.get() is None else nullcontext():
-        for view in wv.views():
-            if kind == "thm1":
-                val: ReportValue = thm1_coeffs(view, m, x, lam, q)
-            elif kind == "thm2":
-                val = thm2_expr(view, m, x, lam, q)
-            elif kind == "thm3":
-                val = thm3_expr(view, m, x, lam, q)
-            else:
-                val = (thm2_expr(view, m, x, lam, q), thm3_expr(view, m, x, lam, q))
-            values.append((view.sigma, val))
+    for view in wv.views():
+        if kind == "thm1":
+            val: ReportValue = thm1_coeffs(view, m, x, lam, q)
+        elif kind == "thm2":
+            val = thm2_expr(view, m, x, lam, q)
+        elif kind == "thm3":
+            val = thm3_expr(view, m, x, lam, q)
+        else:
+            val = (thm2_expr(view, m, x, lam, q), thm3_expr(view, m, x, lam, q))
+        values.append((view.sigma, val))
 
     counterexample = _find_counterexample(kind, values)
     return SymmetryReport(

@@ -1,5 +1,8 @@
 """q-Bernoulli numbers/polynomials, degenerate extension, classical tables."""
 
+import asyncio
+import contextvars
+import functools
 import random
 import threading
 from fractions import Fraction
@@ -207,21 +210,35 @@ class TestValueRowMemo:
         assert exactnum._open_rows.get() is None
         assert carlitz_numbers(8, ctx) == numbers and len(calls) == 72
 
-    def test_a_thread_started_in_a_block_sees_none_of_its_rows(self, monkeypatch):
-        # the block lives in a ContextVar, and a new thread starts with none:
-        # it builds its own table, all 1 + 2 + ... + 8 binomials of it
+    @pytest.mark.parametrize("start", ["new thread", "copied context", "asyncio.to_thread"])
+    def test_a_thread_started_in_a_block_sees_none_of_its_rows(self, monkeypatch, start):
+        # a new thread starts with no block, and the other two inherit the
+        # block's ContextVar, but its memo stays with the thread that opened
+        # it: each builds its own table, all 1 + 2 + ... + 8 binomials of it
         ctx = QContext(Fraction(-7, 4), c=3)
         calls = []
         real = bernoulli.binom
         monkeypatch.setattr(bernoulli, "binom", lambda n, k: calls.append(n) or real(n, k))
         seen = []
-        with exactnum.shared_rows():
-            numbers = carlitz_numbers(8, ctx)
-            assert len(calls) == 36
-            thread = threading.Thread(target=lambda: seen.append(carlitz_numbers(8, ctx)))
+
+        def task():
+            seen.append(carlitz_numbers(8, ctx))
+
+        def in_thread(target):
+            thread = threading.Thread(target=target)
             thread.start()
             thread.join(timeout=60)
             assert not thread.is_alive()
+
+        with exactnum.shared_rows():
+            numbers = carlitz_numbers(8, ctx)
+            assert len(calls) == 36
+            if start == "new thread":
+                in_thread(task)
+            elif start == "copied context":
+                in_thread(functools.partial(contextvars.copy_context().run, task))
+            else:
+                asyncio.run(asyncio.to_thread(task))
             assert seen == [numbers]
             assert len(calls) == 72
             assert carlitz_numbers(8, ctx) == numbers    # the block's own table is still there

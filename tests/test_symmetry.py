@@ -299,6 +299,28 @@ class TestClosedFormExpression:
         assert verify("thm2", (1, 2, 3, 4), 3, x=1, lam=Fraction(2, 5), q=Fraction(3)).ok
         assert len({id(row) for row in rows}) == 42 + 4
 
+    def test_a_direct_call_fetches_one_number_table(self, monkeypatch):
+        # outside any block a thm2_expr call is a block of its own, so its
+        # values share one number table, and so do a thm1_coeffs call's degrees
+        tables = []
+        real = bernoulli._carlitz_row
+
+        def row(q, c, e):
+            got = real(q, c, e)
+            if e == 0:
+                tables.append(got)
+            return got
+
+        monkeypatch.setattr(bernoulli, "_carlitz_row", row)
+        view = SigmaView(WeightVector((1, 2, 3, 4)), (2, 4, 1, 3))
+        sums = {sum(Pj * kj for Pj, kj in zip(view.P, k))
+              for k in itertools.product(*(range(u) for u in view.head))}
+        thm2_expr(view, 4, 1, Fraction(2, 5), Fraction(3))
+        assert len(tables) == len(sums) == 6 and len({id(t) for t in tables}) == 1
+        tables.clear()
+        thm1_coeffs(view, 4, 1, Fraction(2, 5), Fraction(3))
+        assert len(tables) > len(sums) and len({id(t) for t in tables}) == 1
+
     def test_suite_block_spans_weight_vectors_that_share_a_w(self, monkeypatch):
         # every (W, y) of (2,3,4) is one of (1,2,3,4) too (W = 6, 8, 12 at
         # the same v): one block per q takes each value once per degree,
