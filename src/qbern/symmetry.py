@@ -22,7 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
@@ -174,10 +174,15 @@ def thm2_expr(
     q^W, evaluated at v*x + sum_j (v/u_j) k_j = v*(x + S/W), where
     S = sum_j P_j k_j.  Exact; m = 0 uses the rational inverse of [W]_q.
 
-    One walk of the view's own head and P (never a sorted one) folds its box
-    into distinct y with summed weights.  The call's shared_rows() block keeps
-    that plan per (view.permuted, x, q), and each value per (m, lam/[W]_q, q,
-    W, y) for every view with that W, so its values share one number table.
+    The box is never walked: counts[S], the number of its points with sum S,
+    comes from convolving the view's own axes (P_j, u_j) one at a time (never
+    a sorted head), and y is injective in S.  With q^v = a/d and top the
+    largest S, the weight of y is the integer counts[S] a^S d^(top-S) over
+    d^top.  The sum over y is one integer over the lcm D of the values'
+    denominators, and d^top, D and [W]_q^(m-1) meet in one Fraction per call.
+    The call's shared_rows() block keeps the plan per (view.permuted, x, q),
+    and each value per (m, lam/[W]_q, q, W, y) for every view with that W, so
+    its values share one number table.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -187,23 +192,38 @@ def thm2_expr(
     memo = _block()
     plan = memo.get(("thm2", view.permuted, x, q))
     if plan is None:
-        # y keyed as (numerator, denominator): a Fraction hash is a modular inverse
-        weights: Dict[Tuple[int, int], Fraction] = {}
-        for k in itertools.product(*(range(u) for u in view.head)):
-            S = sum(Pj * kj for Pj, kj in zip(view.P, k))
-            y = (view.v * (x + Fraction(S, view.W))).as_integer_ratio()
-            weights[y] = weights.get(y, 0) + q ** (view.v * S)
+        counts = {0: 1}
+        for Pj, uj in zip(view.P, view.head):
+            step: Dict[int, int] = {}
+            for S, c in counts.items():
+                for T in range(S, S + Pj * uj, Pj):
+                    step[T] = step.get(T, 0) + c
+            counts = step
+        top = max(counts)
+        a, d = q.numerator**view.v, q.denominator**view.v
+        a_pow, d_pow = [1], [1]
+        for _ in range(top):
+            a_pow.append(a_pow[-1] * a)
+            d_pow.append(d_pow[-1] * d)
+        # y = v (x + S/W), keyed as (numerator, denominator): a Fraction hash is a modular inverse
+        den = x.denominator * view.W
+        weights: Dict[Tuple[int, int], int] = {}
+        for S, c in counts.items():
+            num = view.v * (x.numerator * view.W + S * x.denominator)
+            g = gcd(num, den)
+            weights[num // g, den // g] = c * a_pow[S] * d_pow[top - S]
         plan = memo[("thm2", view.permuted, x, q)] = (
-            qnum(view.W, QContext(q)), QContext(q, c=view.W), weights)
-    Wq, ctx_w, weights = plan
+            qnum(view.W, QContext(q)), QContext(q, c=view.W), d_pow[top], weights)
+    Wq, ctx_w, scale, weights = plan
     lam_scaled = lam / Wq
     values = memo.setdefault((m, lam_scaled, q, view.W), {})
-    total = Fraction(0)
-    for y, weight in weights.items():
+    for y in weights:
         if y not in values:
             values[y] = degenerate_qpoly(m, Fraction(*y), lam_scaled, ctx_w)
-        total += weight * values[y]
-    return Wq ** (m - 1) * total
+    D = lcm(*(values[y].denominator for y in weights))
+    total = sum(w * values[y].numerator * (D // values[y].denominator) for y, w in weights.items())
+    wn, wd = (Wq.numerator, Wq.denominator) if m else (Wq.denominator, Wq.numerator)
+    return Fraction(total * wn ** abs(m - 1), D * scale * wd ** abs(m - 1))
 
 
 def thm3_expr(

@@ -238,6 +238,71 @@ class TestClosedFormExpression:
             expected *= Wq ** (m - 1)
             assert thm2_expr(view, m, 1, Fraction(0), q) == expected
 
+    @staticmethod
+    def _brute_force(view, m, x, lam, q):
+        # every box point, its y = v x + sum_j v k_j / u_j and its q-power as Fractions
+        Wq = qnum(view.W, QContext(q))
+        total = Fraction(0)
+        for k in itertools.product(*(range(u) for u in view.head)):
+            S = sum(view.W // uj * kj for uj, kj in zip(view.head, k))
+            y = view.v * x + sum(Fraction(view.v * kj, uj) for uj, kj in zip(view.head, k))
+            total += q ** (view.v * S) * degenerate_qpoly(m, y, lam / Wq, QContext(q, c=view.W))
+        return Wq ** (m - 1) * total
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(tuple),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
+        st.integers(min_value=-30, max_value=30),
+        st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-7, 3))),
+        st.data(),
+    )
+    def test_matches_brute_force_box_walk(self, w, q, k, lam, data):
+        # x = k / prod(w) keeps every y admissible at base q^W (W y = prod(w) x + v S),
+        # and is not an integer unless prod(w) divides k
+        x = Fraction(k, prod(w))
+        views = list(WeightVector(w).views())
+        calls = data.draw(st.lists(st.tuples(st.sampled_from(views), st.integers(0, 4)),
+                                   min_size=1, max_size=6))
+        expected = [self._brute_force(view, m, x, lam, q) for view, m in calls]
+        assert [thm2_expr(view, m, x, lam, q) for view, m in calls] == expected
+        with exactnum.shared_rows():
+            assert [thm2_expr(view, m, x, lam, q) for view, m in calls] == expected
+
+    def test_negative_w_bracket_at_order_zero(self):
+        # (2, 3) with sigma = (1, 2) has W = 2, and [2]_q = 1 + q = -1 at
+        # q = -2: m = 0 takes the inverse of a negative [W]_q
+        view = SigmaView(WeightVector((2, 3)), (1, 2))
+        q = Fraction(-2)
+        assert (view.W, qnum(view.W, QContext(q))) == (2, -1)
+        for m, x, lam in itertools.product(range(3), (Fraction(5, 6), Fraction(2)),
+                                           (Fraction(0), Fraction(1, 2))):
+            assert thm2_expr(view, m, x, lam, q) == self._brute_force(view, m, x, lam, q)
+
+    def test_block_plans_once_and_takes_each_value_once(self, monkeypatch):
+        # in one block, qnum runs once per plan, one per (permuted, x, q), and
+        # degenerate_qpoly once per (m, lam/[W]_q, q, W, y): (2, 2, 3) has
+        # three distinct permuted tuples among its six views
+        qnum_calls, value_calls = [], []
+        real_qnum, real_value = symmetry.qnum, symmetry.degenerate_qpoly
+        monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
+        monkeypatch.setattr(symmetry, "degenerate_qpoly",
+                            lambda *a: value_calls.append(a) or real_value(*a))
+        views = list(WeightVector((2, 2, 3)).views())
+        grid = list(itertools.product(views, range(4), (Fraction(0), Fraction(5, 12)),
+                                      (Fraction(0), Fraction(2, 5)), (Fraction(3), Fraction(-2, 7))))
+        with exactnum.shared_rows():
+            for view, m, x, lam, q in grid:
+                thm2_expr(view, m, x, lam, q)
+        keys = {(m, lam / qnum(view.W, QContext(q)), q, view.W,
+                 view.v * x + sum(Fraction(view.v * kj, uj) for uj, kj in zip(view.head, k)))
+                for view, m, x, lam, q in grid
+                for k in itertools.product(*(range(u) for u in view.head))}
+        assert len(qnum_calls) == len({view.permuted for view in views}) * 2 * 2 == 12
+        assert len(value_calls) == len(keys)
+        assert {(m, lam, ctx.q, ctx.c, y) for m, y, lam, ctx in value_calls} == keys
+
     def test_suite_block_builds_each_carlitz_row_once(self, monkeypatch):
         # every degree in one q's block, and every view with the same W,
         # asks for the same (q, W, y) rows and the table at base
