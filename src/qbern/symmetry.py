@@ -9,8 +9,10 @@ coefficient list (thm1_coeffs).  Each is invariant under sigma, and the
 first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
 Each verify, thm1_coeffs and thm2_expr call is one exactnum.shared_rows()
-block, or joins the open one, which holds thm2 box plans and degenerate values
-and thm3 lam-free rows and kernel sums until it ends (thm3_expr needs none).
+block, or joins the open one, which holds thm2 box plans and degenerate values,
+thm3 lam-free rows and, per (view, q), [W]_q and [v]_q as integer pairs,
+QContext(q, c=W) and the kernel sums, until it ends (thm3_expr needs none).
+Each thm3 row term T_p is one integer sum and one Fraction.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -241,10 +243,13 @@ def thm3_expr(
         T_p = sum_{s <= p} binom(p,s) [W]_q^(s-1) [v]_q^(p-s)
               beta_{s,q^W}(v x) K(u | p-s, s),
 
-    with the kernel at base exponent v.  A shared_rows() block keeps the row
-    per (view.permuted, x, q) and the kernel sums per (view.permuted, q),
-    never per sorted head, and later degrees extend both in place; outside
-    a block both are built afresh.  Kept as a genuinely different route: it
+    with the kernel at base exponent v.  With [W]_q = wn/wd, [v]_q = vn/vd
+    and L the lcm of the denominators of the products beta_s K, each T_p is
+    one integer sum over wn (wd vd)^p L, and one Fraction.  A shared_rows()
+    block keeps the row per (view.permuted, x, q), and per (view.permuted, q),
+    never per sorted head, the two brackets, QContext(q, c=W) and the kernel
+    sums; later degrees extend the row and the kernel sums in place.  Outside
+    a block all are built afresh.  Kept as a genuinely different route: it
     runs through kernel_K, so eq20 has teeth.
     """
     if m < 0:
@@ -254,16 +259,25 @@ def thm3_expr(
     memo = _block()
     row = memo.setdefault(("thm3", view.permuted, x, q), [])
     if len(row) <= m:
+        entry = memo.get(("kernel", view.permuted, q))
+        if entry is None:
+            base = QContext(q)
+            entry = memo[("kernel", view.permuted, q)] = (
+                qnum(view.W, base).as_integer_ratio(), qnum(view.v, base).as_integer_ratio(),
+                QContext(q, c=view.W), [])
+        (wn, wd), (vn, vd), ctx_w, kernel = entry
         # anti-diagonals [K(p - s, s) for s <= p] of the view's kernel sums
-        kernel = memo.setdefault(("kernel", view.permuted, q), [])
         kernel.extend([kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1)]
                       for p in range(len(kernel), m + 1))
-        base = QContext(q)
-        Wq, vq = qnum(view.W, base), qnum(view.v, base)
-        beta = carlitz_poly_values(m, view.v * x, QContext(q, c=view.W))
-        row.extend(sum(comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s] * kernel[p][s]
-                       for s in range(p + 1))
-                   for p in range(len(row), m + 1))
+        beta = carlitz_poly_values(m, view.v * x, ctx_w)
+        for p in range(len(row), m + 1):
+            dens = [beta[s].denominator * kernel[p][s].denominator for s in range(p + 1)]
+            L = lcm(*dens)
+            # over wn (wd vd)^p, [W]^(s-1) [v]^(p-s) is wd wn^s wd^(p-s) vn^(p-s) vd^s, s = 0 too
+            acc = sum(comb(p, s) * wn**s * wd ** (p - s) * vn ** (p - s) * vd**s
+                      * beta[s].numerator * kernel[p][s].numerator * (L // dens[s])
+                      for s in range(p + 1))
+            row.append(Fraction(acc * wd, wn * (wd * vd) ** p * L))
     return stirling_transform(row[: m + 1], lam)
 
 

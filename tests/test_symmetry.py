@@ -3,7 +3,7 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,6 +452,64 @@ class TestKernelExpansion:
         assert len(calls) == 2 * 15
         assert {args[0] for args in calls} == {(2,), (3,)}
 
+    @staticmethod
+    def _term_by_term(view, m, x, lam, q):
+        # the row one Fraction per term, from the unpatched layers, then its Stirling transform
+        base = QContext(q)
+        Wq, vq = qnum(view.W, base), qnum(view.v, base)
+        beta = bernoulli.carlitz_poly_values(m, view.v * x, QContext(q, c=view.W))
+        row = [sum((comb(p, s) * Wq ** (s - 1) * vq ** (p - s) * beta[s]
+                    * kernel_K(view.head, p - s, s, q, view.v) for s in range(p + 1)), Fraction(0))
+               for p in range(m + 1)]
+        return exactnum.stirling_transform(row, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(tuple),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=1, max_value=9)).filter(lambda q: q not in (0, 1, -1)),
+        st.integers(min_value=-30, max_value=30),
+        st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-7, 3))),
+        st.data(),
+    )
+    def test_matches_term_by_term_row(self, w, q, k, lam, data):
+        # x = k / prod(w) keeps v x admissible at base q^W; the calls come in
+        # any order, so a block's row and brackets grow from any degree
+        x = Fraction(k, prod(w))
+        views = list(WeightVector(w).views())
+        calls = data.draw(st.lists(st.tuples(st.sampled_from(views), st.integers(0, 5)),
+                                   min_size=1, max_size=6))
+        expected = [self._term_by_term(view, m, x, lam, q) for view, m in calls]
+        assert [thm3_expr(view, m, x, lam, q) for view, m in calls] == expected
+        with exactnum.shared_rows():
+            assert [thm3_expr(view, m, x, lam, q) for view, m in calls] == expected
+
+    def test_negative_w_bracket_at_order_zero(self):
+        # (2, 3) with sigma = (1, 2) has W = 2, and [2]_q = 1 + q = -1 at
+        # q = -2: the common denominator of T_p carries a negative [W]_q
+        view = SigmaView(WeightVector((2, 3)), (1, 2))
+        q = Fraction(-2)
+        assert (view.W, qnum(view.W, QContext(q))) == (2, -1)
+        for m, x, lam in itertools.product((0, 3), (Fraction(5, 6), Fraction(2)),
+                                           (Fraction(0), Fraction(1, 2))):
+            expected = self._term_by_term(view, m, x, lam, q)
+            assert thm3_expr(view, m, x, lam, q) == expected == thm2_expr(view, m, x, lam, q)
+
+    def test_suite_takes_each_bracket_pair_once_per_view_and_q(self, monkeypatch):
+        # one qnum pair per (permuted, q) in a block: (2, 2, 3) has three
+        # distinct permuted tuples, and thm_suite opens one block per q; the
+        # Carlitz values are still fetched on every growth of a row, one
+        # degree per (permuted, x, q) for each m
+        qnum_calls, beta_calls = [], []
+        real_qnum, real_beta = symmetry.qnum, symmetry.carlitz_poly_values
+        monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
+        monkeypatch.setattr(symmetry, "carlitz_poly_values",
+                            lambda *a: beta_calls.append(a) or real_beta(*a))
+        points = [(Fraction(3), Fraction(0)), (Fraction(-2, 7), Fraction(2, 5))]
+        assert thm_suite("thm3", [(2, 2, 3)], 4, xs=(0, 1), points=points).ok
+        assert len(qnum_calls) == 2 * 3 * 2
+        assert Counter(args[0] for args in beta_calls) == {m: 3 * 2 * 2 for m in range(5)}
+
 
 class TestDeformationIdentity:
     # lam enters both routes only through one Stirling transform of the
@@ -636,6 +694,18 @@ class TestMutationSensitivity:
         res = thm_suite("eq20", [(2, 3)], 2, xs=(1,), points=points)
         assert not res.ok
         assert res.failures[0]["counterexample"]["reason"] == "closed form and kernel expansion disagree"
+
+    def test_shared_rows_never_mask_a_corrupted_bracket(self, monkeypatch):
+        # a block's brackets end with it: a qnum patched after a passing run
+        # is reached by the next suite and the next direct verify alike.  At
+        # m = 1 the closed form never reads [W]_q (S1(1, 0) = 0 drops lam), so
+        # there only the kernel expansion's brackets can make eq20 fail
+        points = [(Fraction(2), Fraction(1))]
+        assert thm_suite("eq20", [(2, 3)], 2, xs=(1,), points=points).ok
+        real = symmetry.qnum
+        monkeypatch.setattr(symmetry, "qnum", lambda y, ctx: real(y, ctx) + 1)
+        assert not thm_suite("eq20", [(2, 3)], 2, xs=(1,), points=points).ok
+        assert not verify("eq20", (2, 3), 1, x=1, lam=1, q=2).ok
 
     def test_shared_values_never_mask_a_corrupted_degenerate_value(self, monkeypatch):
         # a block's plans and values end with it: a degenerate polynomial
