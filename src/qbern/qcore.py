@@ -48,10 +48,10 @@ class QContext:
 
 
 def _int_exponent(y: Fraction, c: int) -> int:
-    e = y * c
-    if e.denominator != 1:
+    e, r = divmod(y.numerator * c, y.denominator)
+    if r:
         raise InadmissibleArg(f"argument {y} is not admissible at base exponent {c}")
-    return e.numerator
+    return e
 
 
 def qnum(y: RationalLike, ctx: QContext) -> Fraction:

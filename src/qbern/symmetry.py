@@ -9,10 +9,11 @@ coefficient list (thm1_coeffs).  Each is invariant under sigma, and the
 first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
 Each verify, thm1_coeffs and thm2_expr call is one exactnum.shared_rows()
-block, or joins the open one, which holds thm2 box plans and degenerate values,
-thm3 lam-free rows and, per (view, q), [W]_q and [v]_q as integer pairs,
-QContext(q, c=W) and the kernel sums, until it ends (thm3_expr needs none).
-Each thm3 row term T_p is one integer sum and one Fraction.
+block, or joins the open one, which holds until it ends: per (view, q), the
+thm2 box plan and the thm3 brackets, QContext(q, c=W) and kernel sums; the
+degenerate values, keyed by the integer W*y; and the thm3 lam-free rows
+(thm3_expr needs no block).  Each thm3 row term T_p is one integer sum and
+one Fraction.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -24,12 +25,12 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
 from .exactnum import RationalLike, _block, as_rational, rat_str, shared_rows, stirling_transform
-from .qcore import QContext, qnum
+from .qcore import QContext, _int_exponent, qnum
 
 __all__ = [
     "CapExceeded",
@@ -178,21 +179,22 @@ def thm2_expr(
 
     The box is never walked: counts[S], the number of its points with sum S,
     comes from convolving the view's own axes (P_j, u_j) one at a time (never
-    a sorted head), and y is injective in S.  With q^v = a/d and top the
-    largest S, the weight of y is the integer counts[S] a^S d^(top-S) over
-    d^top.  The sum over y is one integer over the lcm D of the values'
-    denominators, and d^top, D and [W]_q^(m-1) meet in one Fraction per call.
-    The call's shared_rows() block keeps the plan per (view.permuted, x, q),
-    and each value per (m, lam/[W]_q, q, W, y) for every view with that W, so
-    its values share one number table.
+    a sorted head).  With q^v = a/d and top the largest S, the weight of S is
+    the integer counts[S] a^S d^(top-S) over d^top, keyed by v*S.  The sum
+    over y is one integer over the lcm D of the values' denominators, and
+    d^top, D and [W]_q^(m-1) meet in one Fraction per call.  x enters only
+    through the integer W*y = (prod w)*x + v*S, so the call's shared_rows()
+    block keeps the plan per (view.permuted, q), for every x, and each value
+    per (m, lam/[W]_q, q, W, W*y) for every view with that W, so its values
+    share one number table.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     q = as_rational(q)
-    x = as_rational(x)
     lam = as_rational(lam)
+    e0 = _int_exponent(view.v * as_rational(x), view.W)      # W*y at S = 0
     memo = _block()
-    plan = memo.get(("thm2", view.permuted, x, q))
+    plan = memo.get(("thm2", view.permuted, q))
     if plan is None:
         counts = {0: 1}
         for Pj, uj in zip(view.P, view.head):
@@ -207,23 +209,18 @@ def thm2_expr(
         for _ in range(top):
             a_pow.append(a_pow[-1] * a)
             d_pow.append(d_pow[-1] * d)
-        # y = v (x + S/W), keyed as (numerator, denominator): a Fraction hash is a modular inverse
-        den = x.denominator * view.W
-        weights: Dict[Tuple[int, int], int] = {}
-        for S, c in counts.items():
-            num = view.v * (x.numerator * view.W + S * x.denominator)
-            g = gcd(num, den)
-            weights[num // g, den // g] = c * a_pow[S] * d_pow[top - S]
-        plan = memo[("thm2", view.permuted, x, q)] = (
-            qnum(view.W, QContext(q)), QContext(q, c=view.W), d_pow[top], weights)
+        plan = memo[("thm2", view.permuted, q)] = (
+            qnum(view.W, QContext(q)), QContext(q, c=view.W), d_pow[top],
+            {view.v * S: c * a_pow[S] * d_pow[top - S] for S, c in counts.items()})
     Wq, ctx_w, scale, weights = plan
     lam_scaled = lam / Wq
     values = memo.setdefault((m, lam_scaled, q, view.W), {})
-    for y in weights:
-        if y not in values:
-            values[y] = degenerate_qpoly(m, Fraction(*y), lam_scaled, ctx_w)
-    D = lcm(*(values[y].denominator for y in weights))
-    total = sum(w * values[y].numerator * (D // values[y].denominator) for y, w in weights.items())
+    for vS in weights:
+        if e0 + vS not in values:
+            values[e0 + vS] = degenerate_qpoly(m, Fraction(e0 + vS, view.W), lam_scaled, ctx_w)
+    D = lcm(*(values[e0 + vS].denominator for vS in weights))
+    total = sum(w * values[e0 + vS].numerator * (D // values[e0 + vS].denominator)
+                for vS, w in weights.items())
     wn, wd = (Wq.numerator, Wq.denominator) if m else (Wq.denominator, Wq.numerator)
     return Fraction(total * wn ** abs(m - 1), D * scale * wd ** abs(m - 1))
 

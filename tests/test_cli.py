@@ -215,6 +215,14 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("kind", ["thm2", "thm3", "eq20"])
+    def test_inadmissible_x_is_usage_error(self, capsys, kind):
+        # y = v x = 3/7 at W = 2 for sigma = (1, 2): W y is no integer
+        code, out, err = run(capsys, "verify", kind, "--weights", "2,3", "--m-max", "1",
+                             "--x", "1/7", "--q", "3")
+        assert (code, out) == (2, "")
+        assert err == "qbern: error: argument 3/7 is not admissible at base exponent 2\n"
+
     def test_zero_division_is_a_fault_not_a_usage_error(self, monkeypatch):
         # no input reaches a ZeroDivisionError, so one raised inside a run is
         # a fault: it must surface as a traceback, never as exit 2
