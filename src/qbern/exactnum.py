@@ -131,23 +131,24 @@ def stirling1(n: int, m: int) -> int:
 def stirling_transform(vals: Sequence[Fraction], lam: RationalLike) -> Fraction:
     """sum_l stirling1(m, l) lam^(m-l) vals[l], with m = len(vals) - 1.
 
-    With lam = g/h and L the lcm of the denominators of vals, one integer
-    sum over L h^m and one Fraction.  At lam = 0 only S1(m, m) = 1
-    survives, so the value is vals[m] itself.  stirling1 is read at call
-    time.
+    With lam = g/h and L the lcm of the denominators of vals[1:], one
+    integer sum over L h^m and one Fraction: S1(m, 0) = 0 for m >= 1, so
+    vals[0] enters only at m = 0.  At lam = 0 only S1(m, m) = 1 survives,
+    so the value is vals[m] itself, and so it is at m <= 1.  stirling1 is
+    read at call time.
     """
     if not vals:
         raise ValueError("stirling_transform needs at least one value")
     m = len(vals) - 1
     g, h = as_rational(lam).as_integer_ratio()
-    if not g:
+    if not g or m < 2:
         return vals[m]
-    L = lcm(*(v.denominator for v in vals))
+    L = lcm(*(v.denominator for v in vals[1:]))
     acc = 0
-    for l, v in enumerate(vals):
+    for l in range(1, m + 1):
         s = stirling1(m, l)
         if s:
-            acc += s * g ** (m - l) * h ** l * v.numerator * (L // v.denominator)
+            acc += s * g ** (m - l) * h ** l * vals[l].numerator * (L // vals[l].denominator)
     return Fraction(acc, L * h ** m)
 
 

@@ -146,12 +146,14 @@ def thm_suite(
     """Sweep verify(kind, ...) over weights x degree x argument x samples.
 
     kind thm1 treats m_max as the series order of a single verify call per
-    cell; the other kinds sweep every degree m <= m_max.  points overrides
-    the seeded (q, lam) list when given.  Items come out in (w, x, point, m)
-    order, each from its own verify call, but the calls run in one
-    exactnum.shared_rows() block per distinct q, over every weight vector,
-    x and lam: views of any weight vector that share a W share that q's
-    Carlitz rows and degenerate values, and no q's work outlives its block.
+    cell; the other kinds sweep every degree m <= m_max, from m_max down,
+    so each lam-free row and Carlitz row is built once, at its top degree.
+    points overrides the seeded (q, lam) list when given.  Items come out in
+    (w, x, point, m) order, m ascending, each from its own verify call, but
+    the calls run in one exactnum.shared_rows() block per distinct q, over
+    every weight vector, x and lam: views of any weight vector that share a
+    W share that q's Carlitz rows and lam-free values, every lam shares the
+    lam-free rows, and no q's work outlives its block.
     """
     if points is None:
         points = q_lam_points(samples, seed)
@@ -165,7 +167,7 @@ def thm_suite(
             for w, i, j in cells:
                 q, lam = points[j]
                 done[w, i, j] = [symmetry.verify(kind, weights_list[w], m, x=xs[i], lam=lam, q=q)
-                                 .to_json_dict() for m in degrees]
+                                 .to_json_dict() for m in reversed(degrees)][::-1]
     items = [item for cell in sorted(done) for item in done[cell]]
     return SuiteResult(
         name=f"verify-{kind}",

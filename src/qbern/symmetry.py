@@ -8,12 +8,14 @@ numbers and a power-sum kernel (thm3_expr), and the generating-series
 coefficient list (thm1_coeffs).  Each is invariant under sigma, and the
 first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
-Each verify, thm1_coeffs and thm2_expr call is one exactnum.shared_rows()
-block, or joins the open one, which holds until it ends: per (view, q), the
-thm2 box plan and the thm3 brackets, QContext(q, c=W) and kernel sums; the
-degenerate values, keyed by the integer W*y; and the thm3 lam-free rows
-(thm3_expr needs no block).  Each thm3 row term T_p is one integer sum and
-one Fraction.
+In both routes lam enters only through one Stirling transform of a
+lam-free row.  Each verify, thm1_coeffs and thm2_expr call is one
+exactnum.shared_rows() block, or joins the open one, which holds until it
+ends: per (view, q), the thm2 box plan and the thm3 brackets,
+QContext(q, c=W) and kernel sums; the lam-free values, keyed by
+(l, q, W, W*y); and the lam-free rows of both routes, per (view, x, q)
+(thm3_expr needs no block).  Each row term is one integer sum and one
+Fraction.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -177,16 +179,21 @@ def thm2_expr(
     q^W, evaluated at v*x + sum_j (v/u_j) k_j = v*(x + S/W), where
     S = sum_j P_j k_j.  Exact; m = 0 uses the rational inverse of [W]_q.
 
-    The box is never walked: counts[S], the number of its points with sum S,
-    comes from convolving the view's own axes (P_j, u_j) one at a time (never
-    a sorted head).  With q^v = a/d and top the largest S, the weight of S is
-    the integer counts[S] a^S d^(top-S) over d^top, keyed by v*S.  The sum
-    over y is one integer over the lcm D of the values' denominators, and
-    d^top, D and [W]_q^(m-1) meet in one Fraction per call.  x enters only
-    through the integer W*y = (prod w)*x + v*S, so the call's shared_rows()
-    block keeps the plan per (view.permuted, q), for every x, and each value
-    per (m, lam/[W]_q, q, W, W*y) for every view with that W, so its values
-    share one number table.
+    Since [W]_q^(m-1) (lam/[W]_q)^(m-l) = lam^(m-l) [W]_q^(l-1), this is
+    sum_l S1(m,l) lam^(m-l) R_l (exactnum.stirling_transform) of the
+    lam-free row R_0..R_m, where R_l is the same sum at degree l and
+    lam = 0.  The box is never walked: counts[S], the number of its points
+    with sum S, comes from convolving the view's own axes (P_j, u_j) one at
+    a time (never a sorted head).  With q^v = a/d and top the largest S, the
+    weight of S is the integer counts[S] a^S d^(top-S) over d^top, keyed by
+    v*S.  Each R_l is one integer sum over the lcm D of its values'
+    denominators, and d^top, D and [W]_q^(l-1) meet in one Fraction.  x
+    enters only through the integer W*y = (prod w)*x + v*S, so the call's
+    shared_rows() block keeps the plan per (view.permuted, q), for every x;
+    the row per (view.permuted, W*v*x, q), for every lam; and each value
+    degenerate_qpoly(l, y, 0, q^W) per (l, q, W, W*y), for every view with
+    that W, so its values share one number table.  A row grows from the top
+    degree down, so each Carlitz row it reads grows once.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -213,16 +220,20 @@ def thm2_expr(
             qnum(view.W, QContext(q)), QContext(q, c=view.W), d_pow[top],
             {view.v * S: c * a_pow[S] * d_pow[top - S] for S, c in counts.items()})
     Wq, ctx_w, scale, weights = plan
-    lam_scaled = lam / Wq
-    values = memo.setdefault((m, lam_scaled, q, view.W), {})
-    for vS in weights:
-        if e0 + vS not in values:
-            values[e0 + vS] = degenerate_qpoly(m, Fraction(e0 + vS, view.W), lam_scaled, ctx_w)
-    D = lcm(*(values[e0 + vS].denominator for vS in weights))
-    total = sum(w * values[e0 + vS].numerator * (D // values[e0 + vS].denominator)
-                for vS, w in weights.items())
-    wn, wd = (Wq.numerator, Wq.denominator) if m else (Wq.denominator, Wq.numerator)
-    return Fraction(total * wn ** abs(m - 1), D * scale * wd ** abs(m - 1))
+    row = memo.setdefault(("thm2", view.permuted, e0, q), [])
+    grown = []
+    for l in range(m, len(row) - 1, -1):        # top degree first: each Carlitz row grows once
+        values = memo.setdefault((l, q, view.W), {})
+        for vS in weights:
+            if e0 + vS not in values:
+                values[e0 + vS] = degenerate_qpoly(l, Fraction(e0 + vS, view.W), 0, ctx_w)
+        D = lcm(*(values[e0 + vS].denominator for vS in weights))
+        total = sum(w * values[e0 + vS].numerator * (D // values[e0 + vS].denominator)
+                    for vS, w in weights.items())
+        wn, wd = (Wq.numerator, Wq.denominator) if l else (Wq.denominator, Wq.numerator)
+        grown.append(Fraction(total * wn ** abs(l - 1), D * scale * wd ** abs(l - 1)))
+    row.extend(reversed(grown))
+    return stirling_transform(row[: m + 1], lam)
 
 
 def thm3_expr(

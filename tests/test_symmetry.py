@@ -285,8 +285,9 @@ class TestClosedFormExpression:
 
     def test_block_plans_once_and_takes_each_value_once(self, monkeypatch):
         # in one block, qnum runs once per plan, one per (permuted, q) for
-        # every x, and degenerate_qpoly once per (m, lam/[W]_q, q, W, y):
-        # (2, 2, 3) has three distinct permuted tuples among its six views
+        # every x, and degenerate_qpoly once per (l, 0, q, W, y): the rows are
+        # lam-free, so both lam share every value.  (2, 2, 3) has three
+        # distinct permuted tuples among its six views
         qnum_calls, value_calls = [], []
         real_qnum, real_value = symmetry.qnum, symmetry.degenerate_qpoly
         monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
@@ -298,12 +299,12 @@ class TestClosedFormExpression:
         with exactnum.shared_rows():
             for view, m, x, lam, q in grid:
                 thm2_expr(view, m, x, lam, q)
-        keys = {(m, lam / qnum(view.W, QContext(q)), q, view.W,
+        keys = {(m, 0, q, view.W,
                  view.v * x + sum(Fraction(view.v * kj, uj) for uj, kj in zip(view.head, k)))
                 for view, m, x, lam, q in grid
                 for k in itertools.product(*(range(u) for u in view.head))}
         assert len(qnum_calls) == len({view.permuted for view in views}) * 2 == 6
-        assert len(value_calls) == len(keys)
+        assert len(value_calls) == len(keys) == 144
         assert {(m, lam, ctx.q, ctx.c, y) for m, y, lam, ctx in value_calls} == keys
 
     def test_suite_block_builds_each_carlitz_row_once(self, monkeypatch):
@@ -332,16 +333,17 @@ class TestClosedFormExpression:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from(_block_views), min_size=1, max_size=4), st.data())
     def test_block_values_equal_direct_calls(self, views, data):
-        # a block keys its plans on (view, q) and its values on
-        # (m, lam/[W]_q, q, W, W y): any key that drops one of them hands a
-        # later call the value of another.  At lam = 0 the scaled deformation
-        # no longer tells q or W apart, and y = 0 occurs at every W when x = 0
+        # a block keys its plans on (view, q), its rows on (view, W v x, q)
+        # and its values on (l, q, W, W y): any key that drops one of them
+        # hands a later call the value of another, and y = 0 occurs at every W
+        # when x = 0.  thm2_expr grows a row from the top degree down, and
+        # thm1_coeffs one degree at a time, so both growths meet in one row
         calls = data.draw(st.permutations(list(itertools.product(
-            views, range(4), (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(-3, 2)),
-            (Fraction(3), Fraction(-7, 3))))))
-        expected = [thm2_expr(*call) for call in calls]
+            (thm2_expr, thm1_coeffs), views, range(4), (Fraction(0), Fraction(1, 2)),
+            (Fraction(0), Fraction(-3, 2)), (Fraction(3), Fraction(-7, 3))))))
+        expected = [expr(*args) for expr, *args in calls]
         with exactnum.shared_rows():
-            assert [thm2_expr(*call) for call in calls] == expected
+            assert [expr(*args) for expr, *args in calls] == expected
 
     def test_block_takes_each_degenerate_value_once(self, monkeypatch):
         # views with the same W ask for the same (W, y) values, and box points
@@ -356,6 +358,31 @@ class TestClosedFormExpression:
         res = thm_suite("thm2", [(1, 2, 3, 4)], 3, xs=(1,), points=[(Fraction(2), Fraction(2, 5))])
         assert res.ok
         assert len(calls) == 4 * len(keys) == 168
+
+    def test_suite_reuses_the_row_across_lam(self, monkeypatch):
+        # thm2 asks only for lam-free values: a second point at the same q
+        # (so in the same block) makes no call the first did not, every call
+        # is at deformation 0, and each Carlitz row is fetched before it
+        # grows, then grows once, to the top degree
+        calls, lengths = [], {}
+        real_value, real_row = symmetry.degenerate_qpoly, bernoulli._carlitz_row
+        monkeypatch.setattr(symmetry, "degenerate_qpoly",
+                            lambda *a: calls.append(a) or real_value(*a))
+
+        def row(*key):
+            got = real_row(*key)
+            lengths.setdefault(key, set()).add(len(got))
+            return got
+
+        monkeypatch.setattr(bernoulli, "_carlitz_row", row)
+        one = [(Fraction(3), Fraction(2, 5))]
+        assert thm_suite("thm2", [(2, 2, 3)], 4, points=one).ok
+        single = list(calls)
+        calls.clear()
+        lengths.clear()
+        assert thm_suite("thm2", [(2, 2, 3)], 4, points=one + [(Fraction(3), Fraction(-7))]).ok
+        assert calls == single and {args[2] for args in calls} == {0}
+        assert all(seen == {1, 5} for seen in lengths.values())
 
     def test_a_direct_verify_call_is_one_block(self, monkeypatch):
         # outside any block a verify call still shares rows and tables
@@ -500,9 +527,9 @@ class TestKernelExpansion:
 
     def test_suite_takes_each_bracket_pair_once_per_view_and_q(self, monkeypatch):
         # one qnum pair per (permuted, q) in a block: (2, 2, 3) has three
-        # distinct permuted tuples, and thm_suite opens one block per q; the
-        # Carlitz values are still fetched on every growth of a row, one
-        # degree per (permuted, x, q) for each m
+        # distinct permuted tuples, and thm_suite opens one block per q; it
+        # sweeps each cell from the top degree down, so the Carlitz values
+        # are fetched once per (permuted, x, q), at degree 4
         qnum_calls, beta_calls = [], []
         real_qnum, real_beta = symmetry.qnum, symmetry.carlitz_poly_values
         monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
@@ -511,7 +538,7 @@ class TestKernelExpansion:
         points = [(Fraction(3), Fraction(0)), (Fraction(-2, 7), Fraction(2, 5))]
         assert thm_suite("thm3", [(2, 2, 3)], 4, xs=(0, 1), points=points).ok
         assert len(qnum_calls) == 2 * 3 * 2
-        assert Counter(args[0] for args in beta_calls) == {m: 3 * 2 * 2 for m in range(5)}
+        assert Counter(args[0] for args in beta_calls) == {4: 3 * 2 * 2}
 
 
 class TestDeformationIdentity:
@@ -711,15 +738,19 @@ class TestMutationSensitivity:
         assert not verify("eq20", (2, 3), 1, x=1, lam=1, q=2).ok
 
     def test_shared_values_never_mask_a_corrupted_degenerate_value(self, monkeypatch):
-        # a block's plans and values end with it: a degenerate polynomial
-        # patched after a passing run reaches direct calls and suites alike
+        # a block's plans, rows and values end with it: a degenerate
+        # polynomial patched after a passing run reaches direct calls and
+        # suites alike.  thm2 asks only for lam-free values, so the mutant
+        # corrupts those: the lam-free row's degree 2 then differs between
+        # W = 2 and W = 3
         points = [(Fraction(2), Fraction(1))]
         assert thm_suite("thm2", [(2, 3)], 2, xs=(1,), points=points).ok
         real = symmetry.degenerate_qpoly
 
         def rescaled(m, y, lam, ctx):
-            # the deformation multiplied by the base exponent W once too often
-            return real(m, y, lam * ctx.c, ctx)
+            # the degree-2 values multiplied by the base exponent W
+            value = real(m, y, lam, ctx)
+            return value * ctx.c if m == 2 else value
 
         monkeypatch.setattr(symmetry, "degenerate_qpoly", rescaled)
         assert not verify("thm2", (2, 3), 2, x=1, lam=1, q=2).ok
