@@ -12,10 +12,10 @@ In both routes lam enters only through one Stirling transform of a
 lam-free row.  Each verify, thm1_coeffs and thm2_expr call is one
 exactnum.shared_rows() block, or joins the open one, which holds until it
 ends: per (view, q), the thm2 box plan and the thm3 brackets,
-QContext(q, c=W) and kernel sums; the lam-free values, keyed by
-(l, q, W, W*y); and the lam-free rows of both routes, per (view, x, q)
-(thm3_expr needs no block).  Each row term is one integer sum and one
-Fraction.
+QContext(q, c=W) and kernel sums; the thm3 rows per (view, x, q); and the
+thm2 rows per S-count class and (x, q), shared by the views whose own
+plans counted the same box sums (thm3_expr needs no block).  Each row
+term is one integer sum and one Fraction.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -184,16 +184,17 @@ def thm2_expr(
     lam-free row R_0..R_m, where R_l is the same sum at degree l and
     lam = 0.  The box is never walked: counts[S], the number of its points
     with sum S, comes from convolving the view's own axes (P_j, u_j) one at
-    a time (never a sorted head).  With q^v = a/d and top the largest S, the
-    weight of S is the integer counts[S] a^S d^(top-S) over d^top, keyed by
-    v*S.  Each R_l is one integer sum over the lcm D of its values'
-    denominators, and d^top, D and [W]_q^(l-1) meet in one Fraction.  x
-    enters only through the integer W*y = (prod w)*x + v*S, so the call's
-    shared_rows() block keeps the plan per (view.permuted, q), for every x;
-    the row per (view.permuted, W*v*x, q), for every lam; and each value
-    degenerate_qpoly(l, y, 0, q^W) per (l, q, W, W*y), for every view with
-    that W, so its values share one number table.  A row grows from the top
-    degree down, so each Carlitz row it reads grows once.
+    a time.  With q^v = a/d and top the largest S, the weight of S is the
+    integer counts[S] a^S d^(top-S) over d^top, keyed by v*S.  Each R_l is
+    one integer sum over the lcm D of its values' denominators, and d^top,
+    D and [W]_q^(l-1) meet in one Fraction.  x enters only as the integer
+    W*y = (prod w)*x + v*S.  A shared_rows() block keeps the plan per
+    (view.permuted, q) and the row per count class (W, v, counts, q) and
+    W*v*x, which the views with one last weight share, never per sorted
+    head: a view whose own convolution went wrong gets a row of its own,
+    which verify sees, and eq20 still compares each view with its own
+    thm3_expr.  The values come from the block's Carlitz rows, one table
+    per W, and each grows once, since a row grows from the top degree down.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -217,19 +218,17 @@ def thm2_expr(
             a_pow.append(a_pow[-1] * a)
             d_pow.append(d_pow[-1] * d)
         plan = memo[("thm2", view.permuted, q)] = (
+            memo.setdefault(("thm2", view.W, view.v, tuple(sorted(counts.items())), q), {}),
             qnum(view.W, QContext(q)), QContext(q, c=view.W), d_pow[top],
             {view.v * S: c * a_pow[S] * d_pow[top - S] for S, c in counts.items()})
-    Wq, ctx_w, scale, weights = plan
-    row = memo.setdefault(("thm2", view.permuted, e0, q), [])
+    rows, Wq, ctx_w, scale, weights = plan
+    row = rows.setdefault(e0, [])
     grown = []
     for l in range(m, len(row) - 1, -1):        # top degree first: each Carlitz row grows once
-        values = memo.setdefault((l, q, view.W), {})
-        for vS in weights:
-            if e0 + vS not in values:
-                values[e0 + vS] = degenerate_qpoly(l, Fraction(e0 + vS, view.W), 0, ctx_w)
-        D = lcm(*(values[e0 + vS].denominator for vS in weights))
-        total = sum(w * values[e0 + vS].numerator * (D // values[e0 + vS].denominator)
-                    for vS, w in weights.items())
+        values = [degenerate_qpoly(l, Fraction(e0 + vS, view.W), 0, ctx_w) for vS in weights]
+        D = lcm(*(b.denominator for b in values))
+        total = sum(w * b.numerator * (D // b.denominator)
+                    for w, b in zip(weights.values(), values))
         wn, wd = (Wq.numerator, Wq.denominator) if l else (Wq.denominator, Wq.numerator)
         grown.append(Fraction(total * wn ** abs(l - 1), D * scale * wd ** abs(l - 1)))
     row.extend(reversed(grown))
@@ -297,10 +296,10 @@ def thm1_coeffs(
     lam: RationalLike,
     q: RationalLike,
 ) -> List[Fraction]:
-    """Generating-series coefficients through t^order: thm2_expr(m)/m!, in one block."""
+    """Coefficients through t^order, thm2_expr(m)/m!, in one block from the top degree down."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return [thm2_expr(view, m, x, lam, q) / factorial(m) for m in range(order + 1)]
+    return [thm2_expr(view, m, x, lam, q) / factorial(m) for m in range(order, -1, -1)][::-1]
 
 
 ReportValue = Union[Fraction, List[Fraction], Tuple[Fraction, Fraction]]

@@ -285,9 +285,11 @@ class TestClosedFormExpression:
 
     def test_block_plans_once_and_takes_each_value_once(self, monkeypatch):
         # in one block, qnum runs once per plan, one per (permuted, q) for
-        # every x, and degenerate_qpoly once per (l, 0, q, W, y): the rows are
-        # lam-free, so both lam share every value.  (2, 2, 3) has three
-        # distinct permuted tuples among its six views
+        # every x, and degenerate_qpoly once per (l, 0, q, W, y): the six views
+        # of (2, 2, 3) fall into two S-count classes (v = 3 at W = 4, v = 2 at
+        # W = 6), the views of a class share its row, and the rows are
+        # lam-free, so both lam share them too.  Three distinct permuted
+        # tuples make three plans
         qnum_calls, value_calls = [], []
         real_qnum, real_value = symmetry.qnum, symmetry.degenerate_qpoly
         monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
@@ -333,11 +335,11 @@ class TestClosedFormExpression:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from(_block_views), min_size=1, max_size=4), st.data())
     def test_block_values_equal_direct_calls(self, views, data):
-        # a block keys its plans on (view, q), its rows on (view, W v x, q)
-        # and its values on (l, q, W, W y): any key that drops one of them
-        # hands a later call the value of another, and y = 0 occurs at every W
-        # when x = 0.  thm2_expr grows a row from the top degree down, and
-        # thm1_coeffs one degree at a time, so both growths meet in one row
+        # a block keys its plans on (view, q) and its rows on the view's
+        # class (W, v, counts, q) and W v x: any key that drops one of them
+        # hands a later call the row of another, and W v x = 0 occurs at
+        # every W when x = 0.  Calls come in any order, so a row read at a
+        # low degree grows later, from the top degree down
         calls = data.draw(st.permutations(list(itertools.product(
             (thm2_expr, thm1_coeffs), views, range(4), (Fraction(0), Fraction(1, 2)),
             (Fraction(0), Fraction(-3, 2)), (Fraction(3), Fraction(-7, 3))))))
@@ -396,7 +398,9 @@ class TestClosedFormExpression:
 
     def test_a_direct_call_fetches_one_number_table(self, monkeypatch):
         # outside any block a thm2_expr call is a block of its own, so its
-        # values share one number table, and so do a thm1_coeffs call's degrees
+        # values share one number table, and so do a thm1_coeffs call's
+        # degrees: it takes the top degree first, so each value row grows
+        # once and fetches the table once, as one thm2_expr call does
         tables = []
         real = bernoulli._carlitz_row
 
@@ -414,12 +418,14 @@ class TestClosedFormExpression:
         assert len(tables) == len(sums) == 6 and len({id(t) for t in tables}) == 1
         tables.clear()
         thm1_coeffs(view, 4, 1, Fraction(2, 5), Fraction(3))
-        assert len(tables) > len(sums) and len({id(t) for t in tables}) == 1
+        assert len(tables) == len(sums) and len({id(t) for t in tables}) == 1
 
     def test_suite_block_spans_weight_vectors_that_share_a_w(self, monkeypatch):
-        # every (W, y) of (2,3,4) is one of (1,2,3,4) too (W = 6, 8, 12 at
-        # the same v): one block per q takes each value once per degree,
-        # where a block per weight vector would take those 24 twice
+        # every view of (2,3,4) is in an S-count class of (1,2,3,4) too: at
+        # the same (W, v) = (6, 4), (8, 3), (12, 2) the weight 1 adds only
+        # S = 0, so the counts are equal.  One block per q shares those class
+        # rows, and so takes each value once per degree, where a block per
+        # weight vector would take those 24 twice
         calls = []
         real = symmetry.degenerate_qpoly
         monkeypatch.setattr(symmetry, "degenerate_qpoly",
@@ -438,6 +444,39 @@ class TestClosedFormExpression:
                         points=[(Fraction(2), Fraction(2, 5)), (Fraction(-5, 3), Fraction(1))])
         assert res.ok
         assert len(calls) == 2 * 4 * len(shared)
+
+    def test_views_share_a_row_only_with_equal_counts(self):
+        # views of (2,3,4) and (2,2,6) with v = 2 share (W, v) = (12, 2), but
+        # their heads {3, 4} and {2, 6} count the box sums differently: a row
+        # keyed without the counts would hand one vector the other's values
+        res = thm_suite("thm2", [(2, 3, 4), (2, 2, 6)], 3, xs=(1,),
+                        points=[(Fraction(3), Fraction(2, 5)), (Fraction(-5, 3), Fraction(1))])
+        assert res.ok
+
+    @pytest.mark.parametrize("w, classes", [((1, 2, 3, 4, 5), 5), ((2, 2, 3), 2)])
+    def test_block_builds_one_row_per_count_class(self, monkeypatch, w, classes):
+        # views with the same last weight have the same head multiset, so
+        # the same S-counts: one row per class, not per view.  Each row entry
+        # takes one lcm of its values' denominators
+        calls = []
+        real = symmetry.lcm
+        monkeypatch.setattr(symmetry, "lcm", lambda *a: calls.append(a) or real(*a))
+        with exactnum.shared_rows():
+            values = {thm2_expr(view, 1, Fraction(1, 2), Fraction(2, 5), Fraction(3))
+                      for view in WeightVector(w).views()}
+        assert len(values) == 1
+        assert len(calls) == 2 * classes
+
+    def test_order_dependent_counts_are_not_shared(self, monkeypatch):
+        # a box whose first axis is one point short makes the counts depend
+        # on the order of the head: views with the same last weight then
+        # count differently, each gets a row of its own, and verify sees it
+        monkeypatch.setattr(SigmaView, "head",
+                            property(lambda view: (view.permuted[0] - 1, *view.permuted[1:-1])))
+        views = [view for view in WeightVector((2, 3, 4)).views() if view.v == 4]
+        with exactnum.shared_rows():
+            assert len({thm2_expr(view, 2, 1, Fraction(0), Fraction(3)) for view in views}) == 2
+        assert not verify("thm2", (2, 3, 4), 2, x=1, q=Fraction(3)).ok
 
 
 class TestKernelExpansion:
