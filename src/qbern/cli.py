@@ -206,7 +206,7 @@ def _run_compute(cfg: argparse.Namespace) -> Document:
     params = {"lambda" if dest == "lam" else dest: _param(getattr(cfg, dest))
               for dest in _READS[("compute", what)] if getattr(cfg, dest) is not None}
     if what == "stirling":
-        rendered = str(exactnum.stirling1(cfg.n, cfg.m))
+        rendered = exactnum._digits(exactnum.stirling1(cfg.n, cfg.m))
     elif what == "qbern":
         rendered = rat_str(bernoulli.carlitz_numbers(cfg.n, QContext(cfg.q, c=cfg.c))[cfg.n])
     elif what == "qpoly":
@@ -326,8 +326,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     except OSError as exc:                        # --help could not be written
         return _error(exc)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)                 # exact values print whatever their size
     try:
         _check_flags(ns, rest)
         if ns.command == "compute":
@@ -338,8 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc = _run_oracle(ns)
     except (UsageError, ValueError) as exc:
         return _error(exc)
-    finally:
-        sys.set_int_max_str_digits(limit)
     payload = _render(doc, ns.fmt)
     try:
         if ns.out:

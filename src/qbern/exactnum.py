@@ -64,12 +64,24 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Serialize a rational as "num/den" (denominator always present).
-
-    Past CPython's 4300-digit default, call sys.set_int_max_str_digits(0) first.
-    """
+    """Serialize a rational as "num/den" (denominator always present), at any size."""
     v = as_rational(value)
-    return f"{v.numerator}/{v.denominator}"
+    return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of an int of any size, whatever sys.get_int_max_str_digits() is.
+
+    Halves n by a power of ten until each piece is below 2^2000, fewer than
+    the 640 digits that CPython's smallest limit allows; as fast as str().
+    """
+    if n < 0:
+        return "-" + _digits(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20            # about half n's digits, and 10^k < n
+    hi, lo = divmod(n, 10**k)
+    return _digits(hi) + _digits(lo).zfill(k)
 
 
 @contextmanager

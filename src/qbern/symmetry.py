@@ -11,11 +11,11 @@ enumeration of the symmetric group, reporting exact per-sigma values.
 In both routes lam enters only through one Stirling transform of a
 lam-free row.  Each verify, thm1_coeffs and thm2_expr call is one
 exactnum.shared_rows() block, or joins the open one, which holds until it
-ends: per (view, q), the thm2 box plan and the thm3 brackets,
-QContext(q, c=W) and kernel sums; the thm3 rows per (view, x, q); and the
-thm2 rows per S-count class and (x, q), shared by the views whose own
-plans counted the same box sums (thm3_expr needs no block).  Each row
-term is one integer sum and one Fraction.
+ends: per (view, q), the thm3 brackets, QContext(q, c=W) and kernel sums,
+and a link to the view's thm2 plan; the thm3 rows per (view, x, q); and
+one thm2 plan per (S-count class, q), with its rows per x, shared by the
+views whose own convolutions counted the same box sums (thm3_expr needs
+no block).  Each row term is one integer sum and one Fraction.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -188,10 +188,12 @@ def thm2_expr(
     integer counts[S] a^S d^(top-S) over d^top, keyed by v*S.  Each R_l is
     one integer sum over the lcm D of its values' denominators, and d^top,
     D and [W]_q^(l-1) meet in one Fraction.  x enters only as the integer
-    W*y = (prod w)*x + v*S.  A shared_rows() block keeps the plan per
-    (view.permuted, q) and the row per count class (W, v, counts, q) and
-    W*v*x, which the views with one last weight share, never per sorted
-    head: a view whose own convolution went wrong gets a row of its own,
+    W*y = (prod w)*x + v*S.  In a shared_rows() block each view runs its own
+    convolution once per q and keeps, under (view.permuted, q), the plan of
+    the count class (W, v, counts, q) it computed: [W]_q, QContext(q, c=W),
+    d^top, the weights and the rows per W*v*x, built once and shared by the
+    views with one last weight.  The class is never a sorted head or (W, v)
+    alone: a view whose own convolution went wrong gets a plan of its own,
     which verify sees, and eq20 still compares each view with its own
     thm3_expr.  The values come from the block's Carlitz rows, one table
     per W, and each grows once, since a row grows from the top degree down.
@@ -211,16 +213,13 @@ def thm2_expr(
                 for T in range(S, S + Pj * uj, Pj):
                     step[T] = step.get(T, 0) + c
             counts = step
-        top = max(counts)
-        a, d = q.numerator**view.v, q.denominator**view.v
-        a_pow, d_pow = [1], [1]
-        for _ in range(top):
-            a_pow.append(a_pow[-1] * a)
-            d_pow.append(d_pow[-1] * d)
-        plan = memo[("thm2", view.permuted, q)] = (
-            memo.setdefault(("thm2", view.W, view.v, tuple(sorted(counts.items())), q), {}),
-            qnum(view.W, QContext(q)), QContext(q, c=view.W), d_pow[top],
-            {view.v * S: c * a_pow[S] * d_pow[top - S] for S, c in counts.items()})
+        key = ("thm2", view.W, view.v, tuple(sorted(counts.items())), q)
+        if key not in memo:
+            top = max(counts)
+            a, d = q.numerator**view.v, q.denominator**view.v
+            memo[key] = ({}, qnum(view.W, QContext(q)), QContext(q, c=view.W), d**top,
+                         {view.v * S: c * a**S * d ** (top - S) for S, c in counts.items()})
+        plan = memo[("thm2", view.permuted, q)] = memo[key]
     rows, Wq, ctx_w, scale, weights = plan
     row = rows.setdefault(e0, [])
     grown = []

@@ -1,5 +1,6 @@
 """Exact rational helpers: binomials, Stirling numbers, rational-function limits."""
 
+import sys
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -52,6 +53,19 @@ class TestAsRational:
     def test_rat_str_always_has_slash(self):
         assert rat_str(Fraction(3)) == "3/1"
         assert rat_str(Fraction(-1, 2)) == "-1/2"
+
+    @pytest.mark.parametrize("limit", [640, 4300])      # CPython's least and default limits
+    @pytest.mark.parametrize("d", [5001, 6000, 30001])
+    def test_rat_str_past_the_digit_limit(self, limit, d):
+        # d sevens, and 10^(d-1) + 1, whose zeros run across every split
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert rat_str(Fraction(-7 * (10**d - 1) // 9)) == "-" + "7" * d + "/1"
+            assert rat_str(Fraction(3, 10 ** (d - 1) + 1)) == "3/1" + "0" * (d - 2) + "1"
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestBinom:

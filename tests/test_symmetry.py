@@ -284,12 +284,12 @@ class TestClosedFormExpression:
             assert thm2_expr(view, m, x, lam, q) == self._brute_force(view, m, x, lam, q)
 
     def test_block_plans_once_and_takes_each_value_once(self, monkeypatch):
-        # in one block, qnum runs once per plan, one per (permuted, q) for
-        # every x, and degenerate_qpoly once per (l, 0, q, W, y): the six views
-        # of (2, 2, 3) fall into two S-count classes (v = 3 at W = 4, v = 2 at
-        # W = 6), the views of a class share its row, and the rows are
-        # lam-free, so both lam share them too.  Three distinct permuted
-        # tuples make three plans
+        # in one block, qnum runs once per plan, one per (S-count class, q)
+        # for every x, and degenerate_qpoly once per (l, 0, q, W, y): the six
+        # views of (2, 2, 3) fall into two S-count classes (v = 3 at W = 4,
+        # v = 2 at W = 6), the views of a class share its plan and row, and
+        # the rows are lam-free, so both lam share them too.  Two classes at
+        # two q make four plans
         qnum_calls, value_calls = [], []
         real_qnum, real_value = symmetry.qnum, symmetry.degenerate_qpoly
         monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
@@ -305,7 +305,7 @@ class TestClosedFormExpression:
                  view.v * x + sum(Fraction(view.v * kj, uj) for uj, kj in zip(view.head, k)))
                 for view, m, x, lam, q in grid
                 for k in itertools.product(*(range(u) for u in view.head))}
-        assert len(qnum_calls) == len({view.permuted for view in views}) * 2 == 6
+        assert len(qnum_calls) == len({(view.W, view.v) for view in views}) * 2 == 4
         assert len(value_calls) == len(keys) == 144
         assert {(m, lam, ctx.q, ctx.c, y) for m, y, lam, ctx in value_calls} == keys
 
@@ -456,16 +456,19 @@ class TestClosedFormExpression:
     @pytest.mark.parametrize("w, classes", [((1, 2, 3, 4, 5), 5), ((2, 2, 3), 2)])
     def test_block_builds_one_row_per_count_class(self, monkeypatch, w, classes):
         # views with the same last weight have the same head multiset, so
-        # the same S-counts: one row per class, not per view.  Each row entry
-        # takes one lcm of its values' denominators
-        calls = []
-        real = symmetry.lcm
+        # the same S-counts: one plan and one row per class, not per view.
+        # Each plan takes one qnum for [W]_q, and each row entry one lcm of
+        # its values' denominators
+        calls, qnum_calls = [], []
+        real, real_qnum = symmetry.lcm, symmetry.qnum
         monkeypatch.setattr(symmetry, "lcm", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
         with exactnum.shared_rows():
             values = {thm2_expr(view, 1, Fraction(1, 2), Fraction(2, 5), Fraction(3))
                       for view in WeightVector(w).views()}
         assert len(values) == 1
         assert len(calls) == 2 * classes
+        assert len(qnum_calls) == classes
 
     def test_order_dependent_counts_are_not_shared(self, monkeypatch):
         # a box whose first axis is one point short makes the counts depend
