@@ -8,11 +8,11 @@ follow `<command> <what>` and must be spelled in full; a prefix such as
 integer (--q -3) works either way.
 Exit status: 0 when everything asked for passed (or a value was printed),
 1 when a verification suite or oracle found a mismatch, 2 on usage errors
-(a flag the chosen subcommand does not use is one), on a selection that
-yields no checks, and when the report cannot be written to --out or to
-stdout.  On the symmetry grids (thm1, thm2, thm3, eq20) --q pins one
-(q, lambda) point, so --samples or --seed together with --q, and --lambda
-without --q, are usage errors.
+(a flag the chosen subcommand does not use is one, whether or not it has
+a value), on a selection that yields no checks, and when the report
+cannot be written to --out or to stdout.  On the symmetry grids (thm1,
+thm2, thm3, eq20) --q pins one (q, lambda) point, so --samples or --seed
+together with --q, and --lambda without --q, are usage errors.
 Reports go to stdout or --out, as text, JSON (sorted keys, no timestamps,
 byte-stable for a fixed config and seed), or CSV built from that JSON: a
 suite with one row per item (eq12, eq16, series-factor, stirling-mu1) has
@@ -98,7 +98,8 @@ _SPECS: Dict[str, dict] = {
 
 # Each (command, what) maps the parameter flags it reads, by argparse dest,
 # to its default: REQUIRED must be given, None is optional with no default.
-# Its parser declares these flags and no others.
+# Its parser shows these flags in --help and usage; it also takes every
+# other parameter flag, hidden and with or without a value, only to refuse it.
 REQUIRED = object()
 _GRID = {"weights": REQUIRED, "x": None, "q": None, "lam": Fraction(0), "samples": 5, "seed": 0}
 _READS: Dict[Tuple[str, str], Dict[str, object]] = {
@@ -130,9 +131,6 @@ def _flag(dest: str) -> str:
     return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
 
 
-_FLAGS = [_flag(dest) for dest in _SPECS]
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; callers must not modify it."""
@@ -153,6 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
                     else f" (default {default})")
             sub.add_argument(_flag(dest), dest=dest,
                              **dict(_SPECS[dest], help=_SPECS[dest]["help"] + note))
+        for dest in _SPECS:
+            if dest not in reads:
+                sub.add_argument(_flag(dest), dest=dest, nargs="?", const="", help=argparse.SUPPRESS)
         sub.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text",
                          help="report format (default text)")
         sub.add_argument("--out", help="write the report here instead of stdout")
@@ -161,20 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(ns: argparse.Namespace, rest: List[str]) -> None:
     """Reject flags the subcommand ignores or lacks, then fill in its defaults."""
-    # argparse leaves over a parameter flag this subcommand's parser lacks, with its value
-    named = set()
-    tokens = iter(rest)
-    for token in tokens:
-        flag, eq, _ = token.partition("=")
-        if flag not in _FLAGS:
-            raise UsageError(f"unrecognized argument: {token}")
-        named.add(flag)
-        if not eq:
-            next(tokens, None)                    # every parameter flag takes one value
-    if named:
-        unused = ", ".join(flag for flag in _FLAGS if flag in named)
-        raise UsageError(f"`{ns.command} {ns.what}` does not use {unused}")
     reads = _READS[(ns.command, ns.what)]
+    # named before stray tokens: argparse leaves the -3/2 of `--q -3/2` over as a token
+    unused = [_flag(dest) for dest in _SPECS if dest not in reads and getattr(ns, dest) is not None]
+    if unused:
+        raise UsageError(f"`{ns.command} {ns.what}` does not use {', '.join(unused)}")
+    if rest:
+        raise UsageError(f"unrecognized argument: {rest[0]}")
     # decided before the defaults go in, so that a flag given at its default still counts
     given = [dest for dest in reads if getattr(ns, dest) is not None]
     for dest, default in reads.items():

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Tuple
 
-from .exactnum import RationalLike, as_rational, binom
+from .exactnum import RationalLike, as_rational
 
 __all__ = [
     "ZeroLambda",
@@ -145,11 +145,9 @@ def binom_series(lam: RationalLike, e: RationalLike, order: int) -> TruncSeries:
         raise ValueError(f"order must be >= 0, got {order}")
     lam = as_rational(lam)
     e = as_rational(e)
-    coeffs = []
-    lam_pow = Fraction(1)
-    for k in range(order + 1):
-        coeffs.append(binom(e, k) * lam_pow)
-        lam_pow *= lam
+    coeffs = [Fraction(1)]
+    for k in range(1, order + 1):   # binom(e, k) = binom(e, k-1) (e-k+1) / k
+        coeffs.append(coeffs[-1] * (e - k + 1) * lam / k)
     return TruncSeries(tuple(coeffs))
 
 

@@ -128,8 +128,8 @@ def kernel_K(
     Each point k contributes q^{b(t+1)S} * [S]_{q^b}^i with
     S = sum_j (prod_{l != j} u_l) k_j.  The empty box (no u at all) has
     the single point k = (), so the value is 1 when i = 0 and 0 otherwise
-    (0^0 = 1 throughout).  Every call checks its arguments (q and b as
-    QContext(q, b) does) and sums the box in closed form, without walking it.
+    (0^0 = 1 throughout).  Every call checks its arguments (q as QContext
+    does, b >= 1) and sums the box in closed form, without walking it.
     With Q = q^b, U = prod(u) and P_l = U / u_l, expanding [S]_Q^i by the
     binomial theorem splits the box into one geometric sum per axis:
 
@@ -141,10 +141,12 @@ def kernel_K(
     product over the axes is an integer over d^(eG), G = len(u) U - sum P,
     and the whole sum is one Fraction.
     """
-    ctx = QContext(q, operator.index(b))
-    i, t = operator.index(i), operator.index(t)
+    i, t, b = operator.index(i), operator.index(t), operator.index(b)
     if i < 0 or t < 0:
         raise ValueError("i and t must be nonnegative")
+    if b < 1:
+        raise ValueError(f"kernel base exponent b must be a positive integer; got {b}")
+    ctx = QContext(q, b)
     u = tuple(operator.index(x) for x in u)
     if any(x < 1 for x in u):
         raise ValueError(f"box weights must be positive integers, got {u}")

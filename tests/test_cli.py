@@ -196,6 +196,9 @@ class TestExitCodes:
         (["oracle", "carlitz", "--n", "2", "--lambda", "5"], "`oracle carlitz` does not use --lambda"),
         (["oracle", "carlitz", "--n", "1", "--lambda", "0"], "`oracle carlitz` does not use --lambda"),
         (["oracle", "mu1", "--n", "1", "--q", "1"], "`oracle mu1` does not use --q"),
+        (["verify", "eq12", "--p"], "`verify eq12` does not use --p"),
+        (["verify", "eq12", "--p", "--q", "3"], "`verify eq12` does not use --q, --p"),
+        (["verify", "eq12", "--q", "-3/2"], "`verify eq12` does not use --q"),
     ])
     def test_flag_without_effect_is_usage_error(self, capsys, argv, message):
         # a flag the run would ignore must not pass silently
@@ -222,6 +225,13 @@ class TestExitCodes:
                              "--x", "1/7", "--q", "3")
         assert (code, out) == (2, "")
         assert err == "qbern: error: argument 3/7 is not admissible at base exponent 2\n"
+
+    def test_kernel_base_exponent_error_names_b(self, capsys):
+        # --b is the kernel's own base exponent, so the error must not speak of c
+        code, out, err = run(capsys, "compute", "kernel", "--weights", "2,3", "--i", "0",
+                             "--t", "0", "--q", "2", "--b", "0")
+        assert (code, out) == (2, "")
+        assert err == "qbern: error: kernel base exponent b must be a positive integer; got 0\n"
 
     def test_zero_division_is_a_fault_not_a_usage_error(self, monkeypatch):
         # no input reaches a ZeroDivisionError, so one raised inside a run is
@@ -631,8 +641,9 @@ def _subparsers(parser):
 
 
 def _parser_dests():
-    """{(command, what): set of dests} for every leaf parser build_parser builds."""
-    return {(command, what): {a.dest for a in leaf._actions}
+    """{(command, what): (shown dests, hidden dests)} for every leaf parser build_parser builds."""
+    return {(command, what): ({a.dest for a in leaf._actions if a.help is not argparse.SUPPRESS},
+                              {a.dest for a in leaf._actions if a.help is argparse.SUPPRESS})
             for command, sub in _subparsers(cli.build_parser()).items()
             for what, leaf in _subparsers(sub).items()}
 
@@ -645,10 +656,14 @@ class TestFlagTable:
         assert cli.build_parser() is cli.build_parser()
 
     def test_table_covers_exactly_the_parser(self):
+        # a leaf shows the flags it reads and hides every other parameter flag,
+        # which it takes only to refuse
         pairs = _parser_dests()
         assert set(cli._READS) == set(pairs)
         for key, reads in cli._READS.items():
-            assert pairs[key] == set(reads) | {"help", "fmt", "out"}, key
+            shown, hidden = pairs[key]
+            assert shown == set(reads) | {"help", "fmt", "out"}, key
+            assert hidden == set(cli._SPECS) - set(reads), key
 
     @pytest.mark.parametrize("key", [pytest.param(key, id=" ".join(key)) for key in cli._READS])
     def test_help_lists_exactly_the_flags_read(self, capsys, key):

@@ -19,6 +19,7 @@ from qbern import (
     log_factor_series,
     stirling1,
 )
+from qbern.exactnum import binom
 
 small_fracs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -118,6 +119,12 @@ class TestBuildingBlocks:
         assert s[0] == 1
         assert s[1] == 1              # binom(1/2,1) * 2
         assert s[2] == Fraction(-1, 2)  # binom(1/2,2) * 4
+
+    @given(small_fracs, small_fracs)
+    def test_binom_series_row_is_binom_times_lam_power(self, lam, e):
+        # the row is built coefficient from coefficient; each must still be binom(e, k) lam^k
+        s = binom_series(lam, e, 6)
+        assert [s[k] for k in range(7)] == [binom(e, k) * lam**k for k in range(7)]
 
     def test_log1p_series(self):
         s = log1p_series(Fraction(1), 4)
