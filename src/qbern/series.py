@@ -5,7 +5,10 @@ and products are exact through t^M.  Division is valuation-aware: the
 divisor's lowest nonzero power of t is cancelled explicitly against the
 dividend (there is no Laurent support), which is all the generating
 functions here need since both denominators vanish to first order at
-t = 0.
+t = 0.  Products and quotients work in integers: an operand's
+coefficients are scaled to integers over the lcm of their denominators,
+so each output coefficient is one integer sum and one Fraction, not one
+Fraction multiply-add per term.
 
 Two families are realized, for nonzero deformation lam:
 
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Tuple
+from math import factorial, lcm
+from typing import List, Tuple
 
 from .exactnum import RationalLike, as_rational
 
@@ -95,48 +98,57 @@ class TruncSeries:
         return TruncSeries(tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        """Product through the shorter order, in integers over one denominator.
+
+        Each operand is scaled to integers over the lcm of its denominators,
+        so each output coefficient is one integer sum and one Fraction.
+        """
         m = min(self.order, other.order)
-        out = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(self.coeffs[: m + 1]):
-            if a == 0:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncSeries(tuple(out))
+        a, la = _over_lcm(self.coeffs[: m + 1])
+        b, lb = _over_lcm(other.coeffs[: m + 1])
+        return TruncSeries(tuple(
+            Fraction(sum(a[i] * b[k - i] for i in range(k + 1)), la * lb) for k in range(m + 1)))
 
     def inverse(self) -> "TruncSeries":
         """Reciprocal of a series with nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        if self.coeffs[0] == 0:
             raise ZeroDivisionError("inverse needs a nonzero constant term")
-        inv = [1 / c0] + [Fraction(0)] * self.order
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                acc += self.coeffs[k] * inv[m - k]
-            inv[m] = -acc / c0
-        return TruncSeries(tuple(inv))
+        return TruncSeries.constant(1, self.order) / self
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         """Valuation-aware division: cancels the divisor's leading t power.
 
         Requires the dividend to vanish at least as fast as the divisor.
-        The quotient's order drops by the divisor's valuation.
+        The quotient's order drops by the divisor's valuation.  It comes from
+        one long division den * out = num with den scaled to integers once:
+        each term is one integer sum over the lcm of the terms already found
+        and one Fraction.
         """
         v = other.valuation()
         if v > other.order:
             raise ZeroDivisionError("division by the zero series")
-        if v > 0:
-            if any(c != 0 for c in self.coeffs[:v]):
-                raise ValueError(
-                    f"dividend valuation below divisor valuation {v}; quotient is not a power series"
-                )
-            num = TruncSeries(self.coeffs[v:] if self.order >= v else (Fraction(0),))
-            den = TruncSeries(other.coeffs[v:])
-            return num * den.inverse()
-        return self * other.inverse()
+        if any(c != 0 for c in self.coeffs[:v]):
+            raise ValueError(
+                f"dividend valuation below divisor valuation {v}; quotient is not a power series"
+            )
+        num = self.coeffs[v:] if self.order >= v else (Fraction(0),)
+        d, ld = _over_lcm(other.coeffs[v:])
+        out: List[Fraction] = []
+        L = 1                       # lcm of the denominators of out
+        for k, n in enumerate(num[: len(d)]):
+            # out_k = (n_k - sum_j (d_j/ld) out_(k-j)) / (d_0/ld), with each out_i over L
+            acc = sum(d[j] * c.numerator * (L // c.denominator)
+                      for j, c in zip(range(k, 0, -1), out))
+            out.append(Fraction(n.numerator * ld * L - n.denominator * acc,
+                                n.denominator * L * d[0]))
+            L = lcm(L, out[-1].denominator)
+        return TruncSeries(tuple(out))
+
+
+def _over_lcm(coeffs: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
+    """coeffs as integers over the lcm L of their denominators: (numerators, L)."""
+    L = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (L // c.denominator) for c in coeffs], L
 
 
 def binom_series(lam: RationalLike, e: RationalLike, order: int) -> TruncSeries:

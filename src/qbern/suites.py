@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bernoulli, exactnum, padic, qcore, series, symmetry
@@ -258,16 +259,19 @@ def stirling_mu1_suite(n_max: int = 8, samples: int = 12, seed: int = 0) -> Suit
     value must equal sum_m S1(n, m) lam^(n-m) B_m(x) with B_m the
     classical polynomial.  exactnum.stirling_transform reads stirling1 at
     call time, so sign-convention mutations propagate into this check.
+    Each sample builds one log-form series, exact through t^n_max, and
+    reads every degree's value from it as n! times its t^n coefficient.
     Each call is one shared_rows() block, which builds the classical table once.
     """
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
-    for idx in range(samples):
+    for idx in range(samples if n_max >= 0 else 0):    # no degree, so no series to build
         lam = sample_rational(rng, exclude=(Fraction(0),))
         x = sample_rational(rng)
         row = [bernoulli.classical_poly(m, x) for m in range(n_max + 1)]
+        gen = series.kim_series(x, lam, n_max)
         for n in range(n_max + 1):
-            lhs = series.kim_degenerate(n, x, lam)
+            lhs = factorial(n) * gen[n]
             rhs = exactnum.stirling_transform(row[: n + 1], lam)
             items.append({
                 "index": idx, "lambda": rat_str(lam), "x": rat_str(x), "n": n,

@@ -107,6 +107,76 @@ class TestTruncSeries:
         assert prod / series(d.coeffs[:top]) == series(x.coeffs[:top])
 
 
+def schoolbook_mul(a, b):
+    """Coefficients of a * b through the shorter order, one Fraction product at a time."""
+    m = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(m)]
+
+
+def schoolbook_div(a, b):
+    """Coefficients of a / b: cancel b's leading t power, then solve b * out = a term by term."""
+    v = next(k for k, c in enumerate(b) if c)
+    num, den = a[v:] or [Fraction(0)], b[v:]
+    out = []
+    for k in range(min(len(num), len(den))):
+        out.append((num[k] - sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)))
+                   / den[0])
+    return out
+
+
+# zeros drawn often, so sparse rows and zero leading terms are common
+sparse_fracs = st.one_of(st.just(Fraction(0)), small_fracs)
+sparse_lists = st.lists(sparse_fracs, min_size=1, max_size=9)
+
+
+@st.composite
+def quotient_pairs(draw, valuations=(0, 1, 2)):
+    """(dividend, divisor): the divisor has one of the valuations, the dividend vanishes as fast."""
+    v = draw(st.sampled_from(valuations))
+    lead = draw(small_fracs.filter(bool))
+    den = [Fraction(0)] * v + [lead] + draw(st.lists(sparse_fracs, max_size=8))
+    num = [Fraction(0)] * v + draw(sparse_lists)
+    return num, den
+
+
+class TestIntegerArithmetic:
+    """* and / against the plain Fraction schoolbook forms."""
+
+    @given(sparse_lists, sparse_lists)
+    def test_mul_matches_schoolbook(self, a, b):
+        assert series(a) * series(b) == series(schoolbook_mul(a, b))
+
+    @given(quotient_pairs())
+    def test_div_matches_schoolbook(self, pair):
+        a, b = pair
+        assert series(a) / series(b) == series(schoolbook_div(a, b))
+
+    @given(quotient_pairs())
+    def test_quotient_times_divisor_is_dividend(self, pair):
+        a, b = pair
+        quot = series(a) / series(b)
+        assert quot * series(b) == series(a[: quot.order + 1])
+
+    @given(sparse_lists.filter(lambda a: a[0] != 0))
+    def test_inverse_matches_schoolbook(self, a):
+        one = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+        assert series(a).inverse() == series(schoolbook_div(one, a))
+
+    @given(quotient_pairs(valuations=(1, 2)), sparse_fracs.filter(bool), st.data())
+    def test_dividend_below_divisor_valuation_raises(self, pair, c, data):
+        a, b = pair
+        k = data.draw(st.integers(0, series(b).valuation() - 1))
+        with pytest.raises(ValueError, match="dividend valuation below divisor valuation"):
+            series(a[:k] + [c] + a[k + 1:]) / series(b)
+
+    @given(sparse_lists, st.integers(1, 8))
+    def test_zero_divisor_and_zero_constant_raise(self, a, order):
+        with pytest.raises(ZeroDivisionError, match="division by the zero series"):
+            series(a) / TruncSeries.constant(0, order)
+        with pytest.raises(ZeroDivisionError, match="inverse needs a nonzero constant term"):
+            TruncSeries.t(order).inverse()
+
+
 class TestBuildingBlocks:
     def test_binom_series_exponent_zero(self):
         assert binom_series(Fraction(3), 0, 4) == TruncSeries.constant(1, 4)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import qbern.suites as suites
+from qbern.series import TruncSeries
 from qbern.suites import (
     OracleReport,
     SuiteResult,
@@ -115,6 +116,33 @@ class TestSeriesSuites:
                             lambda m, x: calls.append(m) or real(m, x))
         assert stirling_mu1_suite(n_max=8, samples=3, seed=0).ok
         assert calls == list(range(9)) * 3
+
+    def test_stirling_suite_builds_one_series_per_sample(self, monkeypatch):
+        orders = []
+        real = suites.series.kim_series
+        monkeypatch.setattr(suites.series, "kim_series",
+                            lambda x, lam, order: orders.append(order) or real(x, lam, order))
+        assert stirling_mu1_suite(n_max=8, samples=3, seed=0).ok
+        assert orders == [8] * 3
+
+    def test_stirling_suite_without_degrees_builds_no_series(self, monkeypatch):
+        orders = []
+        monkeypatch.setattr(suites.series, "kim_series",
+                            lambda x, lam, order: orders.append(order))
+        with pytest.raises(ValueError, match="no checks"):
+            stirling_mu1_suite(n_max=-1, samples=3, seed=0)
+        assert orders == []
+
+    def test_stirling_suite_sees_a_corrupted_series(self, monkeypatch):
+        real = suites.series.kim_series
+
+        def corrupted(x, lam, order):
+            gen = real(x, lam, order)
+            return TruncSeries(gen.coeffs[:3] + (gen[3] + Fraction(1, 7),) + gen.coeffs[4:])
+
+        monkeypatch.setattr(suites.series, "kim_series", corrupted)
+        res = stirling_mu1_suite(n_max=4, samples=2, seed=0)
+        assert [(item["index"], item["n"]) for item in res.failures] == [(0, 3), (1, 3)]
 
     def test_stirling_suite_sees_module_attribute(self, monkeypatch):
         import qbern.exactnum as exactnum
