@@ -23,14 +23,13 @@ and the empty product / ``0**0 == 1`` conventions hold throughout.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial, lcm
 from threading import get_ident
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "RationalLike",
@@ -64,37 +63,69 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Serialize a rational as "num/den" (denominator always present), at any size."""
+    """Serialize a rational as "num/den" (denominator always present), at any size.
+
+    A shared_rows() block keeps the digits of each numerator or denominator
+    past 2^2000, so a value printed n! times is converted once per block.
+    """
     v = as_rational(value)
     return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
 
 
 def _digits(n: int) -> str:
-    """Decimal digits of an int of any size, whatever sys.get_int_max_str_digits() is.
+    """Decimal digits of an int of any size; an open block keeps those of each n past 2^2000."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    memo, key = _block(), ("digits", n)
+    if key not in memo:
+        memo[key] = _halves(n)
+    return memo[key]
 
-    Halves n by a power of ten until each piece is below 2^2000, fewer than
-    the 640 digits that CPython's smallest limit allows; as fast as str().
+
+def _halves(n: int) -> str:
+    """Decimal digits whatever sys.get_int_max_str_digits() is: halves n by a power of
+    ten until each piece is below 2^2000, fewer than the 640 digits that CPython's
+    smallest limit allows; as fast as str().
     """
     if n < 0:
-        return "-" + _digits(-n)
+        return "-" + _halves(-n)
     if n.bit_length() <= 2000:
         return str(n)
     k = n.bit_length() * 3 // 20            # about half n's digits, and 10^k < n
     hi, lo = divmod(n, 10**k)
-    return _digits(hi) + _digits(lo).zfill(k)
+    return _halves(hi) + _halves(lo).zfill(k)
 
 
-@contextmanager
-def shared_rows() -> Iterator[None]:
-    """Let the calls in the block, and blocks nested in it, share one memo until it ends.
+class shared_rows:
+    """Let the calls in a block, and blocks nested in it, share one memo until it ends.
 
-    Only the opening thread sees the memo, even where another inherits the context.
+    ``with shared_rows():`` opens a block, or joins the memo of the one this
+    thread has open; one instance may be entered again while it is open.
+    ``@shared_rows()`` makes each call of a function one block: a call from
+    the thread that holds the open block runs the function directly in it,
+    and any other call opens a block of its own.  Only the opening thread
+    sees the memo, even where another inherits the context.
     """
-    token = _open_rows.set((get_ident(), _block()))
-    try:
-        yield
-    finally:
-        _open_rows.reset(token)
+
+    def __init__(self) -> None:
+        self._tokens: List[Token] = []
+
+    def __enter__(self) -> None:
+        self._tokens.append(_open_rows.set((get_ident(), _block())))
+
+    def __exit__(self, *exc_info) -> None:
+        _open_rows.reset(self._tokens.pop())
+
+    def __call__(self, func: Callable) -> Callable:
+        @wraps(func)
+        def in_block(*args, **kwargs):
+            block = _open_rows.get()
+            if block is not None and block[0] == get_ident():
+                return func(*args, **kwargs)
+            with shared_rows():         # a fresh instance: threads share no token list
+                return func(*args, **kwargs)
+
+        return in_block
 
 
 def _block() -> dict:

@@ -10,12 +10,13 @@ first two agree identically; verify() certifies both claims by exhaustive
 enumeration of the symmetric group, reporting exact per-sigma values.
 In both routes lam enters only through one Stirling transform of a
 lam-free row.  Each verify, thm1_coeffs and thm2_expr call is one
-exactnum.shared_rows() block, or joins the open one, which holds until it
-ends: per (view, q), the thm3 brackets, QContext(q, c=W) and kernel sums,
-and a link to the view's thm2 plan; the thm3 rows per (view, x, q); and
-one thm2 plan per (S-count class, q), with its rows per x, shared by the
-views whose own convolutions counted the same box sums (thm3_expr needs
-no block).  Each row term is one integer sum and one Fraction.
+exactnum.shared_rows() block, or runs directly in the one its thread has
+open, which holds until it ends: the n! views of each weight vector; per
+(view, q), the thm3 brackets, QContext(q, c=W) and kernel sums, and a link
+to the view's thm2 plan; the thm3 rows per (view, x, q); and one thm2 plan
+per (S-count class, q), with its rows per x and its values per (x, m, lam),
+shared by the views whose own convolutions counted the same box sums
+(thm3_expr needs no block).  Each row term is one integer sum and one Fraction.
 
 The kind tokens thm1/thm2/thm3/eq20 are the CLI vocabulary: the three
 expression families and the closed-form-vs-expansion cross check.
@@ -193,7 +194,8 @@ def thm2_expr(
     W*y = (prod w)*x + v*S.  In a shared_rows() block each view runs its own
     convolution once per q and keeps, under (view.permuted, q), the plan of
     the count class (W, v, counts, q) it computed: [W]_q, QContext(q, c=W),
-    d^top, the weights and the rows per W*v*x, built once and shared by the
+    d^top, the weights, the rows per W*v*x and the values per (W*v*x, m, lam),
+    each transformed once and returned to every view of the class, the
     views with one last weight.  The class is never a sorted head or (W, v)
     alone: a view whose own convolution went wrong gets a plan of its own,
     which verify sees, and eq20 still compares each view with its own
@@ -219,10 +221,12 @@ def thm2_expr(
         if key not in memo:
             top = max(counts)
             a, d = q.numerator**view.v, q.denominator**view.v
-            memo[key] = ({}, qnum(view.W, QContext(q)), QContext(q, c=view.W), d**top,
+            memo[key] = ({}, {}, qnum(view.W, QContext(q)), QContext(q, c=view.W), d**top,
                          {view.v * S: c * a**S * d ** (top - S) for S, c in counts.items()})
         plan = memo[("thm2", view.permuted, q)] = memo[key]
-    rows, Wq, ctx_w, scale, weights = plan
+    rows, transformed, Wq, ctx_w, scale, weights = plan
+    if (e0, m, lam) in transformed:
+        return transformed[e0, m, lam]
     row = rows.setdefault(e0, [])
     grown = []
     for l in range(m, len(row) - 1, -1):        # top degree first: each Carlitz row grows once
@@ -233,7 +237,8 @@ def thm2_expr(
         wn, wd = (Wq.numerator, Wq.denominator) if l else (Wq.denominator, Wq.numerator)
         grown.append(Fraction(total * wn ** abs(l - 1), D * scale * wd ** abs(l - 1)))
     row.extend(reversed(grown))
-    return stirling_transform(row[: m + 1], lam)
+    transformed[e0, m, lam] = stirling_transform(row[: m + 1], lam)
+    return transformed[e0, m, lam]
 
 
 def thm3_expr(
@@ -380,8 +385,11 @@ def verify(
         "q": rat_str(q),
     }
 
+    memo = _block()
+    if ("views", wv.w) not in memo:
+        memo["views", wv.w] = list(wv.views())
     values: List[Tuple[Tuple[int, ...], ReportValue]] = []
-    for view in wv.views():
+    for view in memo["views", wv.w]:
         if kind == "thm1":
             val: ReportValue = thm1_coeffs(view, m, x, lam, q)
         elif kind == "thm2":

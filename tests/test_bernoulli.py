@@ -210,11 +210,14 @@ class TestValueRowMemo:
         assert exactnum._open_rows.get() is None
         assert carlitz_numbers(8, ctx) == numbers and len(calls) == 72
 
-    @pytest.mark.parametrize("start", ["new thread", "copied context", "asyncio.to_thread"])
+    @pytest.mark.parametrize("start", ["new thread", "copied context", "asyncio.to_thread",
+                                       "decorated call"])
     def test_a_thread_started_in_a_block_sees_none_of_its_rows(self, monkeypatch, start):
-        # a new thread starts with no block, and the other two inherit the
+        # a new thread starts with no block, and the other three inherit the
         # block's ContextVar, but its memo stays with the thread that opened
-        # it: each builds its own table, all 1 + 2 + ... + 8 binomials of it
+        # it: each builds its own table, all 1 + 2 + ... + 8 binomials of it.
+        # A decorated call there opens a block of its own, so its two
+        # lookups share one table
         ctx = QContext(Fraction(-7, 4), c=3)
         calls = []
         real = bernoulli.binom
@@ -237,6 +240,9 @@ class TestValueRowMemo:
                 in_thread(task)
             elif start == "copied context":
                 in_thread(functools.partial(contextvars.copy_context().run, task))
+            elif start == "decorated call":
+                twice = exactnum.shared_rows()(lambda: carlitz_numbers(8, ctx) and task())
+                in_thread(functools.partial(contextvars.copy_context().run, twice))
             else:
                 asyncio.run(asyncio.to_thread(task))
             assert seen == [numbers]

@@ -1,6 +1,7 @@
 """Exact rational helpers: binomials, Stirling numbers, rational-function limits."""
 
 import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -16,7 +17,8 @@ from qbern import (
     ratfunc_limit,
     stirling1,
 )
-from qbern.exactnum import stirling_transform
+import qbern.exactnum as exactnum
+from qbern.exactnum import shared_rows, stirling_transform
 
 
 def falling(z, n):
@@ -66,6 +68,90 @@ class TestAsRational:
             assert sys.get_int_max_str_digits() == limit
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+class _CountingVar:
+    """Stands in for exactnum._open_rows and counts the blocks opened through it."""
+
+    def __init__(self, var):
+        self.var, self.sets = var, 0
+
+    def get(self):
+        return self.var.get()
+
+    def set(self, value):
+        self.sets += 1
+        return self.var.set(value)
+
+    def reset(self, token):
+        self.var.reset(token)
+
+
+@shared_rows()
+def _memo_of_call():
+    return exactnum._block()
+
+
+class TestSharedRows:
+    def test_a_decorated_call_in_a_block_runs_in_it_directly(self, monkeypatch):
+        # the call takes the open block's memo and sets no ContextVar of its own
+        var = _CountingVar(exactnum._open_rows)
+        monkeypatch.setattr(exactnum, "_open_rows", var)
+        with shared_rows():
+            memo = exactnum._block()
+            assert var.sets == 1
+            assert all(_memo_of_call() is memo for _ in range(3))
+            assert var.sets == 1
+        assert var.get() is None
+
+    def test_a_decorated_call_outside_a_block_opens_one_and_ends_it(self):
+        seen = []
+
+        @shared_rows()
+        def fails():
+            seen.append(exactnum._open_rows.get())
+            raise ZeroDivisionError
+
+        first, second = _memo_of_call(), _memo_of_call()
+        assert first is not second and exactnum._open_rows.get() is None
+        with pytest.raises(ZeroDivisionError):
+            fails()
+        assert seen[0] is not None and seen[0][0] == threading.get_ident()
+        assert exactnum._open_rows.get() is None
+
+    def test_one_instance_entered_twice_keeps_both_tokens(self):
+        block = shared_rows()
+        with block:
+            memo = exactnum._block()
+            with block:
+                assert exactnum._block() is memo
+            assert exactnum._block() is memo
+        assert exactnum._open_rows.get() is None
+
+    def test_a_big_int_is_converted_once_per_block(self, monkeypatch):
+        # ints past 2^2000 are split once per block; smaller ones never
+        # reach the split.  tops records the calls that start a split
+        big = 7 * (10**1000 - 1) // 9
+        tops, depth = [], []
+        real = exactnum._halves
+
+        def halves(n):
+            if not depth:
+                tops.append(n)
+            depth.append(n)
+            try:
+                return real(n)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(exactnum, "_halves", halves)
+        values = [Fraction(big, 3), Fraction(-big, 5), Fraction(3, big), Fraction(10**600, 3)]
+        expected = [f"{v.numerator}/{v.denominator}" for v in values]
+        with shared_rows():
+            assert [rat_str(v) for v in values * 3] == expected * 3
+        assert tops == [big, -big]             # big is a numerator and a denominator
+        assert [rat_str(v) for v in values] == expected
+        assert tops == [big, -big] + [big, -big, big]      # outside a block, once per use
 
 
 class TestBinom:

@@ -470,6 +470,20 @@ class TestClosedFormExpression:
         assert len(calls) == 2 * classes
         assert len(qnum_calls) == classes
 
+    @pytest.mark.parametrize("w, classes", [((1, 2, 3, 4, 5), 5), ((2, 2, 3), 2)])
+    def test_block_transforms_each_class_value_once(self, monkeypatch, w, classes):
+        # every view of an S-count class returns its class's value: one
+        # Stirling transform per (class, x, m, lam), not one per view
+        calls = []
+        real = symmetry.stirling_transform
+        monkeypatch.setattr(symmetry, "stirling_transform", lambda *a: calls.append(a) or real(*a))
+        grid = list(itertools.product(range(3, -1, -1), (Fraction(0), Fraction(5, 12)),
+                                      (Fraction(0), Fraction(2, 5))))
+        with exactnum.shared_rows():
+            for m, x, lam in grid:
+                assert verify("thm2", w, m, x=x, lam=lam, q=Fraction(3)).ok
+        assert len(calls) == classes * len(grid)
+
     def test_order_dependent_counts_are_not_shared(self, monkeypatch):
         # a box whose first axis is one point short makes the counts depend
         # on the order of the head: views with the same last weight then
@@ -669,6 +683,22 @@ class TestVerify:
             "reference_sigma": [1, 2],
             "reason": "value changed under permutation",
         }
+
+    def test_views_are_built_once_per_block(self, monkeypatch):
+        # the suite opens one block per distinct q, and its cells and degrees
+        # there read the six views of (1, 2, 3) that the first cell built; a
+        # verify call outside any block builds its own
+        built = []
+        real = SigmaView.__post_init__
+        monkeypatch.setattr(SigmaView, "__post_init__", lambda view: built.append(view) or real(view))
+        points = [(Fraction(3), Fraction(2, 5)), (Fraction(3), Fraction(-1)),
+                  (Fraction(-5, 3), Fraction(1))]
+        assert thm_suite("thm2", [(1, 2, 3)], 3, xs=(0, 1), points=points).ok
+        assert len(built) == 6 * 2
+        built.clear()
+        assert verify("thm2", (1, 2, 3), 2, q=Fraction(3)).ok
+        assert verify("thm2", (1, 2, 3), 2, q=Fraction(3)).ok
+        assert len(built) == 6 * 2
 
     def test_json_schema(self):
         rep = verify("thm2", (2, 3), 0)
