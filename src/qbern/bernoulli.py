@@ -26,20 +26,21 @@ QContext can take.  Rows grow in place, so a block's sweep over degrees
 block every call starts afresh, and no row outlives its block.
 
 A row of values at y != 0 is summed over one common denominator: the
-number table, Q^y and [y]_Q are split into integer numerators and
-denominators, each value is an integer sum over their product, and one
-Fraction is built per value.  No Fraction arithmetic (and no gcd) happens
-inside the sums.
+number table over its lcm (exactnum._over_lcm), Q^y and [y]_Q as integer
+pairs, one integer sum and one Fraction per value, and no gcd inside the
+sums.  classical_poly is the Carlitz binomial row at Q = 1, where Q^y = 1
+and [y] = x, over the classical numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import List, Tuple
 
-from .exactnum import RatFuncQ, RationalLike, _block, as_rational, binom, stirling_transform
-from .qcore import QContext, _int_exponent
+from .exactnum import (RatFuncQ, RationalLike, _block, _over_lcm, as_rational, binom,
+                       stirling_transform)
+from .qcore import QContext, _int_exponent, qnum
 
 __all__ = [
     "carlitz_numbers",
@@ -101,9 +102,8 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
     if len(row) <= nmax:
         betas = carlitz_numbers(nmax, ctx)
         qy = ctx.q ** e                      # Q^y with Q = q^c
-        bracket = (1 - qy) / (1 - ctx.q ** ctx.c)
-        D = lcm(*(b.denominator for b in betas))
-        E = [b.numerator * (D // b.denominator) for b in betas]
+        bracket = qnum(y, ctx)
+        E, D = _over_lcm(betas)
         a = qy.numerator * bracket.denominator
         r = bracket.numerator * qy.denominator
         s = qy.denominator * bracket.denominator
@@ -148,17 +148,15 @@ def classical_numbers(nmax: int) -> Tuple[Fraction, ...]:
 
 
 def classical_poly(m: int, x: RationalLike) -> Fraction:
-    """Bernoulli polynomial B_m(x) = sum_k C(m,k) B_k x^{m-k}."""
+    """Bernoulli polynomial B_m(x) = sum_k C(m,k) B_k x^{m-k}.
+
+    With x = u/w and B_k = E_k / D it is sum_k C(m,k) E_k u^(m-k) w^k / (D w^m).
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    x = as_rational(x)
-    table = classical_numbers(m)
-    acc = Fraction(0)
-    xp = Fraction(1)
-    for k in range(m, -1, -1):                     # x^{m-k} built low to high
-        acc += binom(m, k) * table[k] * xp
-        xp *= x
-    return acc
+    u, w = as_rational(x).as_integer_ratio()
+    E, D = _over_lcm(classical_numbers(m))
+    return Fraction(sum(comb(m, k) * E[k] * u ** (m - k) * w**k for k in range(m + 1)), D * w**m)
 
 
 def carlitz_numbers_ratfunc(nmax: int) -> List[RatFuncQ]:

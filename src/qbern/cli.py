@@ -209,11 +209,8 @@ def _run_compute(cfg: argparse.Namespace) -> Document:
         rendered = rat_str(bernoulli.degenerate_qpoly(cfg.n, cfg.x, cfg.lam, QContext(cfg.q, c=cfg.c)))
     elif what == "kernel":
         rendered = rat_str(symmetry.kernel_K(cfg.weights, cfg.i, cfg.t, cfg.q, cfg.b))
-    elif what == "classical":
-        if cfg.x is None:
-            rendered = rat_str(bernoulli.classical_numbers(cfg.n)[cfg.n])
-        else:
-            rendered = rat_str(bernoulli.classical_poly(cfg.n, cfg.x))
+    elif what == "classical":                     # B_n(0) = B_n
+        rendered = rat_str(bernoulli.classical_poly(cfg.n, 0 if cfg.x is None else cfg.x))
     else:  # series
         fn = series.kim_degenerate if cfg.variant == "kim" else series.carlitz_degenerate
         rendered = rat_str(fn(cfg.n, cfg.x, cfg.lam))

@@ -5,6 +5,8 @@ Everything in this package computes with arbitrary-precision rationals
 supplies the shared scalar toolbox:
 
 * generalized binomial coefficients ``binom(e, k)`` for rational ``e``,
+* ``_over_lcm(values)``: a row of Fractions as integer numerators over the
+  lcm of their denominators, so that every exact row is one integer sum,
 * signed Stirling numbers of the first kind ``stirling1(n, m)`` and
   their transform ``stirling_transform(vals, lam)`` of a row of values,
   which at ``lam == 0`` is the row's last value,
@@ -134,6 +136,12 @@ def _block() -> dict:
     return block[1] if block is not None and block[0] == get_ident() else {}
 
 
+def _over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """values as integers over the lcm L of their denominators: (numerators, L)."""
+    L = lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
 def binom(e: RationalLike, k: int) -> Fraction:
     """Generalized binomial coefficient e(e-1)...(e-k+1) / k!.
 
@@ -186,13 +194,9 @@ def stirling_transform(vals: Sequence[Fraction], lam: RationalLike) -> Fraction:
     g, h = as_rational(lam).as_integer_ratio()
     if not g or m < 2:
         return vals[m]
-    L = lcm(*(v.denominator for v in vals[1:]))
-    acc = 0
-    for l in range(1, m + 1):
-        s = stirling1(m, l)
-        if s:
-            acc += s * g ** (m - l) * h ** l * vals[l].numerator * (L // vals[l].denominator)
-    return Fraction(acc, L * h ** m)
+    E, L = _over_lcm(vals[1:])
+    acc = sum(stirling1(m, l) * g ** (m - l) * h**l * n for l, n in enumerate(E, 1))
+    return Fraction(acc, L * h**m)
 
 
 def _peval(p: Sequence[Fraction], x: Fraction) -> Fraction:

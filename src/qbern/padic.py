@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .exactnum import RationalLike, _block, as_rational
+from .exactnum import RationalLike, _block, _over_lcm, as_rational
 
 __all__ = [
     "INF",
@@ -98,12 +98,11 @@ class PadicParams:
 
 def _at_level(e: Sequence[Fraction], q: Fraction, count: int) -> Fraction:
     """sum_k e_k (q^count)^k by integer Horner; one gcd, in the final Fraction."""
-    z = q**count
-    u, v = z.numerator, z.denominator
-    den = math.lcm(*(ek.denominator for ek in e))
+    u, v = (q**count).as_integer_ratio()
+    nums, den = _over_lcm(e)
     acc, vk = 0, 1
-    for ek in reversed(e):
-        acc = acc * u + ek.numerator * (den // ek.denominator) * vk
+    for n in reversed(nums):
+        acc = acc * u + n * vk
         vk *= v
     return Fraction(acc, den * v ** (len(e) - 1))
 

@@ -6,9 +6,9 @@ divisor's lowest nonzero power of t is cancelled explicitly against the
 dividend (there is no Laurent support), which is all the generating
 functions here need since both denominators vanish to first order at
 t = 0.  Products and quotients work in integers: an operand's
-coefficients are scaled to integers over the lcm of their denominators,
-so each output coefficient is one integer sum and one Fraction, not one
-Fraction multiply-add per term.
+coefficients are scaled to integers over the lcm of their denominators
+(exactnum._over_lcm), so each output coefficient is one integer sum and
+one Fraction, not one Fraction multiply-add per term.
 
 Two families are realized, for nonzero deformation lam:
 
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List, Tuple
 
-from .exactnum import RationalLike, as_rational
+from .exactnum import RationalLike, _over_lcm, as_rational
 
 __all__ = [
     "ZeroLambda",
@@ -145,21 +145,19 @@ class TruncSeries:
         return TruncSeries(tuple(out))
 
 
-def _over_lcm(coeffs: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
-    """coeffs as integers over the lcm L of their denominators: (numerators, L)."""
-    L = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (L // c.denominator) for c in coeffs], L
-
-
 def binom_series(lam: RationalLike, e: RationalLike, order: int) -> TruncSeries:
-    """(1 + lam*t)^e truncated at t^order: coefficients binom(e, k) lam^k."""
+    """(1 + lam*t)^e truncated at t^order: coefficients binom(e, k) lam^k.
+
+    With e = a/b and lam = g/h, that is prod_{i<k} (a - i b) g^k / (b^k h^k k!).
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    lam = as_rational(lam)
-    e = as_rational(e)
-    coeffs = [Fraction(1)]
-    for k in range(1, order + 1):   # binom(e, k) = binom(e, k-1) (e-k+1) / k
-        coeffs.append(coeffs[-1] * (e - k + 1) * lam / k)
+    g, h = as_rational(lam).as_integer_ratio()
+    a, b = as_rational(e).as_integer_ratio()
+    coeffs, num, den = [Fraction(1)], 1, 1
+    for k in range(1, order + 1):
+        num, den = num * (a - (k - 1) * b) * g, den * b * h * k
+        coeffs.append(Fraction(num, den))
     return TruncSeries(tuple(coeffs))
 
 

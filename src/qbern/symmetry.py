@@ -32,7 +32,8 @@ from math import comb, factorial, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
-from .exactnum import RationalLike, _block, as_rational, rat_str, shared_rows, stirling_transform
+from .exactnum import (RationalLike, _block, _over_lcm, as_rational, rat_str, shared_rows,
+                       stirling_transform)
 from .qcore import QContext, _int_exponent, qnum
 
 __all__ = [
@@ -231,9 +232,8 @@ def thm2_expr(
     grown = []
     for l in range(m, len(row) - 1, -1):        # top degree first: each Carlitz row grows once
         values = [degenerate_qpoly(l, Fraction(e0 + vS, view.W), 0, ctx_w) for vS in weights]
-        D = lcm(*(b.denominator for b in values))
-        total = sum(w * b.numerator * (D // b.denominator)
-                    for w, b in zip(weights.values(), values))
+        nums, D = _over_lcm(values)
+        total = sum(w * n for w, n in zip(weights.values(), nums))
         wn, wd = (Wq.numerator, Wq.denominator) if l else (Wq.denominator, Wq.numerator)
         grown.append(Fraction(total * wn ** abs(l - 1), D * scale * wd ** abs(l - 1)))
     row.extend(reversed(grown))

@@ -376,6 +376,16 @@ class TestClassical:
         for m in range(9):
             assert classical_poly(m, 0) == table[m]
 
+    @given(st.integers(min_value=0, max_value=12),
+           st.fractions(min_value=-20, max_value=20, max_denominator=50))
+    def test_poly_matches_schoolbook_sum(self, m, x):
+        # sum_k C(m,k) B_k x^(m-k) term by term in Fractions, B_k from the
+        # independent oracle (B_1 = -1/2 here)
+        numbers = [-b if k == 1 else b for k, b in enumerate(akiyama_tanigawa(m))]
+        expected = sum((comb(m, k) * numbers[k] * x ** (m - k) for k in range(m + 1)),
+                       Fraction(0))
+        assert classical_poly(m, x) == expected
+
     def test_forward_difference(self):
         # B_m(x+1) - B_m(x) = m x^{m-1}
         for m in range(1, 8):

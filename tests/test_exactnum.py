@@ -3,7 +3,7 @@
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -205,6 +205,18 @@ class TestStirlingFirstKind:
         # sum_m S1(n, m) z^m reproduces the falling factorial
         total = sum(stirling1(n, m) * z**m for m in range(n + 1))
         assert total == falling(z, n)
+
+
+class TestOverLcm:
+    @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=10))
+    @example(values=[])
+    @example(values=[Fraction(0), Fraction(0)])
+    @example(values=[Fraction(-3, 4), Fraction(0), Fraction(5, 6), Fraction(-7)])
+    def test_numerators_over_the_denominator_lcm(self, values):
+        nums, L = exactnum._over_lcm(values)
+        assert L == lcm(*(v.denominator for v in values))
+        assert all(isinstance(n, int) for n in nums)
+        assert [Fraction(n, L) for n in nums] == list(values)
 
 
 class TestStirlingTransform:

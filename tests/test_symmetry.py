@@ -457,11 +457,11 @@ class TestClosedFormExpression:
     def test_block_builds_one_row_per_count_class(self, monkeypatch, w, classes):
         # views with the same last weight have the same head multiset, so
         # the same S-counts: one plan and one row per class, not per view.
-        # Each plan takes one qnum for [W]_q, and each row entry one lcm of
-        # its values' denominators
+        # Each plan takes one qnum for [W]_q, and each row entry puts its
+        # values over one denominator once
         calls, qnum_calls = [], []
-        real, real_qnum = symmetry.lcm, symmetry.qnum
-        monkeypatch.setattr(symmetry, "lcm", lambda *a: calls.append(a) or real(*a))
+        real, real_qnum = symmetry._over_lcm, symmetry.qnum
+        monkeypatch.setattr(symmetry, "_over_lcm", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(symmetry, "qnum", lambda *a: qnum_calls.append(a) or real_qnum(*a))
         with exactnum.shared_rows():
             values = {thm2_expr(view, 1, Fraction(1, 2), Fraction(2, 5), Fraction(3))
