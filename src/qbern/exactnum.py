@@ -13,8 +13,8 @@ supplies the shared scalar toolbox:
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
   which takes its exact limits such as ``q -> 1``,
-* ``shared_rows()``, the scope of every layer's shared rows, sums and
-  expansions: a block's calls keep them in its dict, and none outlives it.
+* ``shared_rows()``, the scope of every layer's shared rows, sums and expansions:
+  a thread's block keeps them in one dict, and none outlives its outermost end.
 
 Stirling numbers use the signed convention fixed by
 
@@ -25,12 +25,11 @@ and the empty product / ``0**0 == 1`` conventions hold throughout.
 
 from __future__ import annotations
 
-from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, factorial, lcm
-from threading import get_ident
+from threading import local
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -46,8 +45,14 @@ __all__ = [
 
 RationalLike = Union[Fraction, int, str]
 
-# The open shared_rows() block, if any: the thread that opened it and its memo.
-_open_rows: ContextVar[Optional[Tuple[int, dict]]] = ContextVar("_open_rows", default=None)
+
+class _Rows(local):
+    # this thread's block depth and memo; class defaults spare new threads the AttributeError path
+    depth = 0
+    memo: Optional[dict] = None
+
+
+_rows = _Rows()
 
 
 class PoleError(ArithmeticError):
@@ -101,39 +106,37 @@ def _halves(n: int) -> str:
 class shared_rows:
     """Let the calls in a block, and blocks nested in it, share one memo until it ends.
 
-    ``with shared_rows():`` opens a block, or joins the memo of the one this
-    thread has open; one instance may be entered again while it is open.
-    ``@shared_rows()`` makes each call of a function one block: a call from
-    the thread that holds the open block runs the function directly in it,
-    and any other call opens a block of its own.  Only the opening thread
-    sees the memo, even where another inherits the context.
+    ``with shared_rows():`` opens a block, or joins the one this thread has open,
+    whose memo goes when its outermost ``with`` ends.  ``@shared_rows()`` makes each
+    call of a function one block, or runs it directly in the one its thread has open.
+    A block is its thread's: a new thread, a copied context or ``asyncio.to_thread``
+    starts with none, while a coroutine run on the thread during the block joins it.
     """
 
-    def __init__(self) -> None:
-        self._tokens: List[Token] = []
-
     def __enter__(self) -> None:
-        self._tokens.append(_open_rows.set((get_ident(), _block())))
+        if not _rows.depth:
+            _rows.memo = {}
+        _rows.depth += 1
 
     def __exit__(self, *exc_info) -> None:
-        _open_rows.reset(self._tokens.pop())
+        _rows.depth -= 1
+        if not _rows.depth:
+            _rows.memo = None
 
     def __call__(self, func: Callable) -> Callable:
         @wraps(func)
         def in_block(*args, **kwargs):
-            block = _open_rows.get()
-            if block is not None and block[0] == get_ident():
+            if _rows.depth:
                 return func(*args, **kwargs)
-            with shared_rows():         # a fresh instance: threads share no token list
+            with self:
                 return func(*args, **kwargs)
 
         return in_block
 
 
 def _block() -> dict:
-    """The memo of the block this thread opened, or a fresh one outside a block."""
-    block = _open_rows.get()
-    return block[1] if block is not None and block[0] == get_ident() else {}
+    """The memo of the block this thread has open, or a fresh one outside a block."""
+    return _rows.memo if _rows.depth else {}
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -96,15 +96,15 @@ class PadicParams:
         object.__setattr__(self, "lam", lam)
 
 
-def _at_level(e: Sequence[Fraction], q: Fraction, count: int) -> Fraction:
-    """sum_k e_k (q^count)^k by integer Horner; one gcd, in the final Fraction."""
+def _at_level(e: Tuple[List[int], int], q: Fraction, count: int) -> Fraction:
+    """sum_k e_k (q^count)^k, e_k given as integers over one den, by integer Horner."""
     u, v = (q**count).as_integer_ratio()
-    nums, den = _over_lcm(e)
+    nums, den = e
     acc, vk = 0, 1
     for n in reversed(nums):
         acc = acc * u + n * vk
         vk *= v
-    return Fraction(acc, den * v ** (len(e) - 1))
+    return Fraction(acc, den * v ** (len(nums) - 1))
 
 
 def _check_x0(x0) -> int:
@@ -144,7 +144,7 @@ def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Frac
         raise ValueError(f"level N must be >= 1, got {N}")
     memo, key = _block(), ("riemann", n, x0, params.q, lam)
     if key not in memo:
-        memo[key] = _expansion(n, x0, params.q, lam)
+        memo[key] = _over_lcm(_expansion(n, x0, params.q, lam))     # rescaled once per block
     return _at_level(memo[key], params.q, params.p**N)
 
 

@@ -189,24 +189,22 @@ def _check_lam(lam: Fraction) -> Fraction:
     return lam
 
 
+def _degenerate_series(top: TruncSeries, x, lam: Fraction, order: int) -> TruncSeries:
+    # top/((1+lam*t)^(1/lam) - 1) * (1+lam*t)^(x/lam); top runs to order+1: the divisor's t cancels
+    denom = binom_series(lam, 1 / lam, order + 1) - TruncSeries.constant(1, order + 1)
+    return top / denom * binom_series(lam, as_rational(x) / lam, order)
+
+
 def carlitz_series(x: RationalLike, lam: RationalLike, order: int) -> TruncSeries:
     """Degenerate Bernoulli generating series (no log factor), exact to t^order."""
     lam = _check_lam(as_rational(lam))
-    x = as_rational(x)
-    work = order + 1
-    denom = binom_series(lam, 1 / lam, work) - TruncSeries.constant(1, work)
-    quotient = TruncSeries.t(work) / denom        # valuation 1 cancels; order drops to `order`
-    return quotient * binom_series(lam, x / lam, order)
+    return _degenerate_series(TruncSeries.t(order + 1), x, lam, order)
 
 
 def kim_series(x: RationalLike, lam: RationalLike, order: int) -> TruncSeries:
     """Fully degenerate Bernoulli generating series (log numerator), exact to t^order."""
     lam = _check_lam(as_rational(lam))
-    x = as_rational(x)
-    work = order + 1
-    denom = (binom_series(lam, 1 / lam, work) - TruncSeries.constant(1, work)).scale(lam)
-    quotient = log1p_series(lam, work) / denom
-    return quotient * binom_series(lam, x / lam, order)
+    return _degenerate_series(log1p_series(lam, order + 1).scale(1 / lam), x, lam, order)
 
 
 def _coefficient(gen, n: int, x: RationalLike, lam: RationalLike) -> Fraction:

@@ -220,12 +220,12 @@ def thm2_expr(
             counts = step
         key = ("thm2", view.W, view.v, tuple(sorted(counts.items())), q)
         if key not in memo:
-            top = max(counts)
-            a, d = q.numerator**view.v, q.denominator**view.v
-            memo[key] = ({}, {}, qnum(view.W, QContext(q)), QContext(q, c=view.W), d**top,
+            top, (a, d) = max(counts), (q**view.v).as_integer_ratio()
+            memo[key] = ({}, {}, qnum(view.W, QContext(q)).as_integer_ratio(),
+                         QContext(q, c=view.W), d**top,
                          {view.v * S: c * a**S * d ** (top - S) for S, c in counts.items()})
         plan = memo[("thm2", view.permuted, q)] = memo[key]
-    rows, transformed, Wq, ctx_w, scale, weights = plan
+    rows, transformed, (wn, wd), ctx_w, scale, weights = plan
     if (e0, m, lam) in transformed:
         return transformed[e0, m, lam]
     row = rows.setdefault(e0, [])
@@ -234,8 +234,7 @@ def thm2_expr(
         values = [degenerate_qpoly(l, Fraction(e0 + vS, view.W), 0, ctx_w) for vS in weights]
         nums, D = _over_lcm(values)
         total = sum(w * n for w, n in zip(weights.values(), nums))
-        wn, wd = (Wq.numerator, Wq.denominator) if l else (Wq.denominator, Wq.numerator)
-        grown.append(Fraction(total * wn ** abs(l - 1), D * scale * wd ** abs(l - 1)))
+        grown.append(Fraction(total * wd * wn**l, D * scale * wn * wd**l))     # [W]_q^(l-1)
     row.extend(reversed(grown))
     transformed[e0, m, lam] = stirling_transform(row[: m + 1], lam)
     return transformed[e0, m, lam]

@@ -207,15 +207,17 @@ class TestValueRowMemo:
             with exactnum.shared_rows():
                 assert carlitz_numbers(8, ctx) == numbers and len(calls) == 36
             assert carlitz_numbers(8, ctx) == numbers and len(calls) == 36
-        assert exactnum._open_rows.get() is None
+        fresh = exactnum._block()
+        assert fresh == {} and exactnum._block() is not fresh
         assert carlitz_numbers(8, ctx) == numbers and len(calls) == 72
 
     @pytest.mark.parametrize("start", ["new thread", "copied context", "asyncio.to_thread",
                                        "decorated call"])
     def test_a_thread_started_in_a_block_sees_none_of_its_rows(self, monkeypatch, start):
-        # a new thread starts with no block, and the other three inherit the
-        # block's ContextVar, but its memo stays with the thread that opened
-        # it: each builds its own table, all 1 + 2 + ... + 8 binomials of it.
+        # a new thread starts with no block, and so do the other three, though
+        # they inherit the opener's context: the memo stays with the thread
+        # that opened it, so each builds its own table, all 1 + 2 + ... + 8
+        # binomials of it.
         # A decorated call there opens a block of its own, so its two
         # lookups share one table
         ctx = QContext(Fraction(-7, 4), c=3)

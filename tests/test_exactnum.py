@@ -1,7 +1,8 @@
 """Exact rational helpers: binomials, Stirling numbers, rational-function limits."""
 
+import gc
 import sys
-import threading
+import weakref
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
@@ -70,63 +71,69 @@ class TestAsRational:
             sys.set_int_max_str_digits(saved)
 
 
-class _CountingVar:
-    """Stands in for exactnum._open_rows and counts the blocks opened through it."""
-
-    def __init__(self, var):
-        self.var, self.sets = var, 0
-
-    def get(self):
-        return self.var.get()
-
-    def set(self, value):
-        self.sets += 1
-        return self.var.set(value)
-
-    def reset(self, token):
-        self.var.reset(token)
-
-
 @shared_rows()
 def _memo_of_call():
     return exactnum._block()
 
 
+def _a_fresh_dict_outside_blocks():
+    fresh = exactnum._block()
+    return fresh == {} and exactnum._block() is not fresh
+
+
 class TestSharedRows:
     def test_a_decorated_call_in_a_block_runs_in_it_directly(self, monkeypatch):
-        # the call takes the open block's memo and sets no ContextVar of its own
-        var = _CountingVar(exactnum._open_rows)
-        monkeypatch.setattr(exactnum, "_open_rows", var)
+        # the call takes the open block's memo and enters no block of its own
+        entered = []
+        real = shared_rows.__enter__
+        monkeypatch.setattr(shared_rows, "__enter__",
+                            lambda self: entered.append(self) or real(self))
         with shared_rows():
             memo = exactnum._block()
-            assert var.sets == 1
+            assert len(entered) == 1
             assert all(_memo_of_call() is memo for _ in range(3))
-            assert var.sets == 1
-        assert var.get() is None
+            assert len(entered) == 1
+        assert _a_fresh_dict_outside_blocks()
 
     def test_a_decorated_call_outside_a_block_opens_one_and_ends_it(self):
         seen = []
 
         @shared_rows()
         def fails():
-            seen.append(exactnum._open_rows.get())
+            seen.append(exactnum._block())
+            seen[0]["kept"] = True
+            seen.append(exactnum._block())
             raise ZeroDivisionError
 
         first, second = _memo_of_call(), _memo_of_call()
-        assert first is not second and exactnum._open_rows.get() is None
+        assert first is not second and _a_fresh_dict_outside_blocks()
         with pytest.raises(ZeroDivisionError):
             fails()
-        assert seen[0] is not None and seen[0][0] == threading.get_ident()
-        assert exactnum._open_rows.get() is None
+        assert seen[0] is seen[1]           # the whole call is one block
+        assert "kept" not in exactnum._block() and _a_fresh_dict_outside_blocks()
 
-    def test_one_instance_entered_twice_keeps_both_tokens(self):
+    def test_one_instance_entered_twice_keeps_one_memo_until_the_outer_exit(self):
         block = shared_rows()
         with block:
             memo = exactnum._block()
+            memo["kept"] = True
             with block:
                 assert exactnum._block() is memo
-            assert exactnum._block() is memo
-        assert exactnum._open_rows.get() is None
+            assert exactnum._block() is memo and memo["kept"]
+        assert "kept" not in exactnum._block() and _a_fresh_dict_outside_blocks()
+
+    def test_the_outermost_exit_frees_what_the_block_kept(self):
+        # rows live no longer than the outermost block that holds them
+        class Row(list):                    # a list subclass takes weak references
+            pass
+
+        with shared_rows():
+            with shared_rows():
+                exactnum._block()["row"] = Row([1, 2])
+                ref = weakref.ref(exactnum._block()["row"])
+            assert ref() is not None        # the outer block still holds it
+        gc.collect()
+        assert ref() is None
 
     def test_a_big_int_is_converted_once_per_block(self, monkeypatch):
         # ints past 2^2000 are split once per block; smaller ones never

@@ -1,10 +1,14 @@
 """Suite drivers: seeded sampling and report assembly."""
 
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import qbern.bernoulli as bernoulli
+import qbern.exactnum as exactnum
 import qbern.suites as suites
 from qbern.series import TruncSeries
 from qbern.suites import (
@@ -73,6 +77,42 @@ class TestThmSuite:
         expected = [verify(kind, w, m, x=x, lam=lam, q=q).to_json_dict()
                     for w, x, (q, lam), m in itertools.product(weights, xs, points, range(3))]
         assert list(thm_suite(kind, weights, 2, xs=xs, points=points).items) == expected
+
+    def test_threads_running_one_suite_share_no_rows(self, monkeypatch):
+        # two threads run the same suite at once while this thread holds a
+        # block and runs it too: every report equals a serial run, and no
+        # Carlitz row list reaches more than one thread
+        args, kwargs = ("thm2", [(1, 2, 3, 4), (2, 2)], 3), dict(xs=(0, 1, 2), samples=6, seed=4)
+        serial = thm_suite(*args, **kwargs)
+        rows, reports = {}, {}
+        real = bernoulli._carlitz_row
+
+        def recording(q, c, e):
+            row = real(q, c, e)
+            rows.setdefault(threading.get_ident(), {})[id(row)] = row
+            return row
+
+        def run(name):
+            reports[name] = thm_suite(*args, **kwargs)
+
+        monkeypatch.setattr(bernoulli, "_carlitz_row", recording)
+        threads = [threading.Thread(target=run, args=(name,)) for name in ("a", "b")]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)         # switch threads often, mid-row too
+        try:
+            with exactnum.shared_rows():
+                for thread in threads:
+                    thread.start()
+                run("held")
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        assert reports == {"a": serial, "b": serial, "held": serial}
+        assert len(rows) == 3
+        ids = [set(kept) for kept in rows.values()]
+        assert all(not (mine & theirs) for mine, theirs in itertools.combinations(ids, 2))
 
     def test_explicit_points_override_sampling(self):
         pts = [(Fraction(2), Fraction(1))]
