@@ -40,7 +40,7 @@ from typing import List, Tuple
 
 from .exactnum import (RatFuncQ, RationalLike, _block, _over_lcm, as_rational, binom,
                        stirling_transform)
-from .qcore import QContext, _int_exponent, qnum
+from .qcore import QContext, _int_exponent
 
 __all__ = [
     "carlitz_numbers",
@@ -102,7 +102,7 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
     if len(row) <= nmax:
         betas = carlitz_numbers(nmax, ctx)
         qy = ctx.q ** e                      # Q^y with Q = q^c
-        bracket = qnum(y, ctx)
+        bracket = (1 - qy) / (1 - ctx.q ** ctx.c)  # [y]_Q
         E, D = _over_lcm(betas)
         a = qy.numerator * bracket.denominator
         r = bracket.numerator * qy.denominator

@@ -10,6 +10,8 @@ supplies the shared scalar toolbox:
 * signed Stirling numbers of the first kind ``stirling1(n, m)`` and
   their transform ``stirling_transform(vals, lam)`` of a row of values,
   which at ``lam == 0`` is the row's last value,
+* ``_Value``, the frozen base of the package's value classes: fields set
+  once in ``__init__``, compared, hashed and printed in ``_fields`` order,
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
   which takes its exact limits such as ``q -> 1``,
@@ -25,7 +27,6 @@ and the empty product / ``0**0 == 1`` conventions hold throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, factorial, lcm
@@ -219,8 +220,34 @@ def _deflate(p: Sequence[Fraction], x: Fraction) -> Tuple[Fraction, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class RatFuncQ:
+class _Value:
+    """A frozen value: its ``_fields``, set once by ``__init__``, give ==, hash and repr."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class RatFuncQ(_Value):
     """A rational function num(q) / den(q) of one variable q.
 
     ``num`` and ``den`` are coefficient tuples, constant term first.  No
@@ -228,14 +255,14 @@ class RatFuncQ:
     vanish at the point it is asked about.
     """
 
-    num: Tuple[Fraction, ...]
-    den: Tuple[Fraction, ...] = (Fraction(1),)
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        object.__setattr__(self, "num", tuple(as_rational(c) for c in self.num))
-        object.__setattr__(self, "den", tuple(as_rational(c) for c in self.den))
-        if not any(self.den):
+    def __init__(self, num: Sequence[RationalLike], den: Sequence[RationalLike] = (Fraction(1),)):
+        num = tuple(as_rational(c) for c in num)
+        den = tuple(as_rational(c) for c in den)
+        if not any(den):
             raise ZeroDivisionError("RatFuncQ with zero denominator")
+        vars(self).update(num=num, den=den)
 
     def __call__(self, q0: RationalLike) -> Fraction:
         q0 = as_rational(q0)

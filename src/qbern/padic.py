@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .exactnum import RationalLike, _block, _over_lcm, as_rational
+from .exactnum import RationalLike, _Value, _block, _over_lcm, as_rational
 
 __all__ = [
     "INF",
@@ -70,30 +69,25 @@ def vp(r: RationalLike, p: int) -> Valuation:
     return v
 
 
-@dataclass(frozen=True)
-class PadicParams:
+class PadicParams(_Value):
     """Standing hypotheses: odd p, q within distance 1/p of 1, integral lam.
 
     Holds no level: each Riemann sum takes its level N >= 1 as an argument.
     """
 
-    q: Fraction
-    lam: Fraction = Fraction(0)
-    p: int = 5
+    _fields = ("q", "lam", "p")
 
-    def __post_init__(self):
-        p = _check_odd_prime(self.p)
-        q = as_rational(self.q)
-        lam = as_rational(self.lam)
+    def __init__(self, q: RationalLike, lam: RationalLike = Fraction(0), p: int = 5):
+        p = _check_odd_prime(p)
+        q = as_rational(q)
+        lam = as_rational(lam)
         if q == 1:
             raise ValueError("q = 1 degenerates every bracket")
         if vp(1 - q, p) < 1:
             raise ValueError(f"need v_p(1-q) >= 1; q = {q} sits too far from 1")
         if vp(lam, p) < 0:
             raise ValueError(f"lam = {lam} is not p-adically integral")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lam", lam)
+        vars(self).update(q=q, lam=lam, p=p)
 
 
 def _at_level(e: Tuple[List[int], int], q: Fraction, count: int) -> Fraction:

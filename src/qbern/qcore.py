@@ -13,11 +13,10 @@ be computed independently and compared:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .exactnum import RationalLike, as_rational
+from .exactnum import RationalLike, _Value, as_rational
 
 __all__ = ["InadmissibleArg", "QContext", "qnum", "qnum_scale_split", "qnum_add_split"]
 
@@ -29,22 +28,21 @@ class InadmissibleArg(ValueError):
     """A q-number argument whose scaled exponent is not an integer."""
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(_Value):
     """An evaluation point q and a base exponent c.
 
     q must avoid {0, 1, -1} so that 1 - q^k != 0 for every k >= 1.
     """
 
-    q: Fraction
-    c: int = 1
+    _fields = ("q", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_rational(self.q))
-        if self.q in SPECIAL_Q:
-            raise ValueError(f"q must avoid 0, 1, -1; got {self.q}")
-        if not isinstance(self.c, int) or self.c < 1:
-            raise ValueError(f"base exponent c must be a positive integer; got {self.c}")
+    def __init__(self, q: RationalLike, c: int = 1):
+        q = as_rational(q)
+        if q in SPECIAL_Q:
+            raise ValueError(f"q must avoid 0, 1, -1; got {q}")
+        if not isinstance(c, int) or c < 1:
+            raise ValueError(f"base exponent c must be a positive integer; got {c}")
+        vars(self).update(q=q, c=c)
 
 
 def _int_exponent(y: Fraction, c: int) -> int:

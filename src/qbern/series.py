@@ -23,12 +23,11 @@ which the test suite checks as an exact series identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from .exactnum import RationalLike, _over_lcm, as_rational
+from .exactnum import RationalLike, _Value, _over_lcm, as_rational
 
 __all__ = [
     "ZeroLambda",
@@ -47,16 +46,16 @@ class ZeroLambda(ValueError):
     """The series representation is singular at lam = 0."""
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(_Value):
     """Polynomial truncation of a power series in t; coeffs[k] is the t^k term."""
 
-    coeffs: Tuple[Fraction, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence[RationalLike]):
+        coeffs = tuple(as_rational(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("a TruncSeries needs at least the constant term")
+        vars(self).update(coeffs=coeffs)
 
     @property
     def order(self) -> int:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bernoulli, exactnum, padic, qcore, series, symmetry
-from .exactnum import RationalLike, as_rational, rat_str
+from .exactnum import RationalLike, _Value, as_rational, rat_str
 from .padic import INF, PadicParams, Valuation
 from .qcore import SPECIAL_Q, QContext
 
@@ -68,18 +67,16 @@ def q_lam_points(samples: int, seed: int) -> List[Tuple[Fraction, Fraction]]:
 # -- result containers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Value):
     """One suite's outcome: one JSON item per check, which the verdict and all reports read."""
 
-    name: str
-    params: Dict[str, object]
-    items: Tuple[Dict[str, object], ...]
+    _fields = ("name", "params", "items")
 
-    def __post_init__(self):
+    def __init__(self, name: str, params: Dict[str, object], items: Tuple[Dict[str, object], ...]):
         # an empty sweep would pass on no evidence at all
-        if not self.items:
-            raise ValueError(f"{self.name}: the selection yields no checks")
+        if not items:
+            raise ValueError(f"{name}: the selection yields no checks")
+        vars(self).update(name=name, params=params, items=items)
 
     @property
     def failures(self) -> List[Dict[str, object]]:
@@ -100,19 +97,15 @@ class SuiteResult:
         }
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Value):
     """Valuation-growth record for one Riemann-sum family at one point."""
 
-    family: str
-    p: int
-    q: Fraction
-    lam: Fraction
-    n: int
-    x0: Fraction
-    target: Fraction
-    rows: Tuple[Tuple[int, Valuation], ...]
-    monotone: bool
+    _fields = ("family", "p", "q", "lam", "n", "x0", "target", "rows", "monotone")
+
+    def __init__(self, family: str, p: int, q: Fraction, lam: Fraction, n: int, x0: Fraction,
+                 target: Fraction, rows: Tuple[Tuple[int, Valuation], ...], monotone: bool):
+        vars(self).update(family=family, p=p, q=q, lam=lam, n=n, x0=x0, target=target,
+                          rows=rows, monotone=monotone)
 
     @property
     def ok(self) -> bool:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
-from .exactnum import (RationalLike, _block, _over_lcm, as_rational, rat_str, shared_rows,
+from .exactnum import (RationalLike, _Value, _block, _over_lcm, as_rational, rat_str, shared_rows,
                        stirling_transform)
 from .qcore import QContext, _int_exponent, qnum
 
@@ -57,19 +56,18 @@ class CapExceeded(ValueError):
     """Refused to enumerate a symmetric group larger than the cap allows."""
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Value):
     """Positive integer weights; repeats are allowed and must be harmless."""
 
-    w: Tuple[int, ...]
+    _fields = ("w",)
 
-    def __post_init__(self):
-        w = tuple(operator.index(x) for x in self.w)
+    def __init__(self, w: Sequence[int]):
+        w = tuple(operator.index(x) for x in w)
         if not w:
             raise ValueError("need at least one weight")
         if any(x < 1 for x in w):
             raise ValueError(f"weights must be positive integers, got {w}")
-        object.__setattr__(self, "w", w)
+        vars(self).update(w=w)
 
     @property
     def n(self) -> int:
@@ -81,36 +79,26 @@ class WeightVector:
             yield SigmaView(self, sigma)
 
 
-@dataclass(frozen=True)
-class SigmaView:
+class SigmaView(_Value):
     """One permutation's (W, v, P) split of a weight vector.
 
     sigma is one-line notation on {1..n}.  W multiplies the first n-1
     permuted weights (empty product 1 when n = 1), v is the last permuted
-    weight, and P_j = W / w_{sigma(j)} for j < n.
+    weight, and P_j = W / w_{sigma(j)} for j < n; the three and the
+    permuted weights are derived fields, set here and not passed in.
     """
 
-    base: WeightVector
-    sigma: Tuple[int, ...]
-    permuted: Tuple[int, ...] = field(init=False)
-    W: int = field(init=False)
-    v: int = field(init=False)
-    P: Tuple[int, ...] = field(init=False)
+    _fields = ("base", "sigma", "permuted", "W", "v", "P")
 
-    def __post_init__(self):
-        sigma = tuple(operator.index(s) for s in self.sigma)
-        n = self.base.n
+    def __init__(self, base: WeightVector, sigma: Sequence[int]):
+        sigma = tuple(operator.index(s) for s in sigma)
+        n = base.n
         if sorted(sigma) != list(range(1, n + 1)):
             raise ValueError(f"{sigma} is not one-line notation for a permutation of 1..{n}")
-        permuted = tuple(self.base.w[s - 1] for s in sigma)
+        permuted = tuple(base.w[s - 1] for s in sigma)
         W = prod(permuted[:-1])
-        v = permuted[-1]
-        P = tuple(W // u for u in permuted[:-1])
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "permuted", permuted)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "P", P)
+        vars(self).update(base=base, sigma=sigma, permuted=permuted, W=W, v=permuted[-1],
+                          P=tuple(W // u for u in permuted[:-1]))
 
     @property
     def head(self) -> Tuple[int, ...]:
@@ -310,16 +298,16 @@ def thm1_coeffs(
 ReportValue = Union[Fraction, List[Fraction], Tuple[Fraction, Fraction]]
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Per-sigma values plus an exact-equality verdict for one identity."""
+class SymmetryReport(_Value):
+    """Per-sigma values plus an exact-equality verdict ("pass" | "fail") for one identity."""
 
-    kind: str
-    weights: Tuple[int, ...]
-    params: Dict[str, str]
-    values: Tuple[Tuple[Tuple[int, ...], ReportValue], ...]
-    verdict: str                      # "pass" | "fail"
-    counterexample: Optional[Dict[str, object]]
+    _fields = ("kind", "weights", "params", "values", "verdict", "counterexample")
+
+    def __init__(self, kind: str, weights: Tuple[int, ...], params: Dict[str, str],
+                 values: Tuple[Tuple[Tuple[int, ...], ReportValue], ...], verdict: str,
+                 counterexample: Optional[Dict[str, object]]):
+        vars(self).update(kind=kind, weights=weights, params=params, values=values,
+                          verdict=verdict, counterexample=counterexample)
 
     @property
     def ok(self) -> bool:

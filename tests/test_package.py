@@ -1,6 +1,13 @@
-"""The package namespace: exactly the public names of its modules, and their input checks."""
+"""The package namespace: exactly the public names of its modules, their input checks,
+the frozen value classes' semantics, and what a cold import loads."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from unittest.mock import ANY
 
 import pytest
 
@@ -46,3 +53,85 @@ _INPUT_CHECKS = {
 def test_input_below_its_floor_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# one sample per value class: (keyword arguments, a field to change and its new value, exact repr)
+_VALUES = {
+    "RatFuncQ": (qbern.RatFuncQ, dict(num=(1, Fraction(1, 2)), den=(3,)), ("den", (4,)),
+                 "RatFuncQ(num=(Fraction(1, 1), Fraction(1, 2)), den=(Fraction(3, 1),))"),
+    "QContext": (qbern.QContext, dict(q=Fraction(2, 3), c=2), ("c", 3),
+                 "QContext(q=Fraction(2, 3), c=2)"),
+    "TruncSeries": (qbern.TruncSeries, dict(coeffs=(1, Fraction(-1, 2))), ("coeffs", (1,)),
+                    "TruncSeries(coeffs=(Fraction(1, 1), Fraction(-1, 2)))"),
+    "PadicParams": (qbern.PadicParams, dict(q=6, lam=5, p=5), ("lam", 10),
+                    "PadicParams(q=Fraction(6, 1), lam=Fraction(5, 1), p=5)"),
+    "SuiteResult": (qbern.SuiteResult, dict(name="s", params={"m": 1}, items=({"equal": True},)),
+                    ("name", "t"),
+                    "SuiteResult(name='s', params={'m': 1}, items=({'equal': True},))"),
+    "OracleReport": (qbern.OracleReport,
+                     dict(family="mu1", p=5, q=Fraction(1), lam=Fraction(0), n=1, x0=Fraction(0),
+                          target=Fraction(-1, 2), rows=((1, 1), (2, 2)), monotone=True),
+                     ("monotone", False),
+                     "OracleReport(family='mu1', p=5, q=Fraction(1, 1), lam=Fraction(0, 1), n=1, "
+                     "x0=Fraction(0, 1), target=Fraction(-1, 2), rows=((1, 1), (2, 2)), "
+                     "monotone=True)"),
+    "WeightVector": (qbern.WeightVector, dict(w=(2, 3)), ("w", (3, 2)), "WeightVector(w=(2, 3))"),
+    "SigmaView": (qbern.SigmaView, dict(base=qbern.WeightVector((2, 3, 5)), sigma=(2, 3, 1)),
+                  ("sigma", (3, 2, 1)),
+                  "SigmaView(base=WeightVector(w=(2, 3, 5)), sigma=(2, 3, 1), permuted=(3, 5, 2), "
+                  "W=15, v=2, P=(5, 3))"),
+    "SymmetryReport": (qbern.SymmetryReport,
+                       dict(kind="thm2", weights=(2, 3), params={"m": "1"},
+                            values=(((1, 2), Fraction(3)), ((2, 1), Fraction(3))), verdict="pass",
+                            counterexample=None),
+                       ("verdict", "fail"),
+                       "SymmetryReport(kind='thm2', weights=(2, 3), params={'m': '1'}, "
+                       "values=(((1, 2), Fraction(3, 1)), ((2, 1), Fraction(3, 1))), "
+                       "verdict='pass', counterexample=None)"),
+}
+
+
+@pytest.mark.parametrize("cls, kwargs, change, text", list(_VALUES.values()), ids=list(_VALUES))
+def test_value_classes_are_frozen_and_compare_by_their_fields(cls, kwargs, change, text):
+    a, b = cls(**kwargs), cls(*kwargs.values())
+    assert a == b and not a != b
+    assert repr(a) == repr(b) == text
+    name, other = change
+    c = cls(**{**kwargs, name: other})
+    assert a != c and not a == c
+    assert a != object() and a != text and a != tuple(vars(a).values())
+    assert a == ANY                                   # another type decides: NotImplemented
+    if any(isinstance(v, dict) for v in kwargs.values()):
+        with pytest.raises(TypeError):                 # a dict field makes the value unhashable
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for field in (name, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, other)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert a == b
+    with pytest.raises(TypeError):
+        cls()
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+
+
+def test_a_qcontext_is_not_its_field_tuple():
+    assert qbern.QContext(2) != (Fraction(2), 1)
+    assert qbern.QContext(2) == qbern.QContext(Fraction(2), c=1)
+
+
+def test_importing_qbern_and_its_cli_loads_neither_dataclasses_nor_inspect():
+    # the set difference leaves out whatever the interpreter's start-up already loaded
+    code = ("import sys; b = set(sys.modules); import qbern, qbern.cli; "
+            "print(' '.join(sorted(set(sys.modules) - b)))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(qbern.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qbern.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded

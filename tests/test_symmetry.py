@@ -689,8 +689,9 @@ class TestVerify:
         # there read the six views of (1, 2, 3) that the first cell built; a
         # verify call outside any block builds its own
         built = []
-        real = SigmaView.__post_init__
-        monkeypatch.setattr(SigmaView, "__post_init__", lambda view: built.append(view) or real(view))
+        real = SigmaView.__init__
+        monkeypatch.setattr(SigmaView, "__init__",
+                            lambda view, *a: built.append(view) or real(view, *a))
         points = [(Fraction(3), Fraction(2, 5)), (Fraction(3), Fraction(-1)),
                   (Fraction(-5, 3), Fraction(1))]
         assert thm_suite("thm2", [(1, 2, 3)], 3, xs=(0, 1), points=points).ok
