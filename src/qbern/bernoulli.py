@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, Tuple
 
-from .exactnum import (RatFuncQ, RationalLike, _block, _over_lcm, as_rational, binom,
+from .exactnum import (RatFuncQ, RationalLike, _block, _count, _over_lcm, as_rational, binom,
                        stirling_transform)
 from .qcore import QContext, _int_exponent
 
@@ -65,8 +65,7 @@ def carlitz_numbers(nmax: int, ctx: QContext) -> Tuple[Fraction, ...]:
 
     The table is the value row at y = 0, grown in place by the recurrence.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    nmax = _count(nmax, "nmax")
     table = _carlitz_row(ctx.q, ctx.c, 0)
     if len(table) <= nmax:
         Q = ctx.q ** ctx.c
@@ -92,8 +91,7 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
     A call extends the block's row for (q, c, c*y) by the degrees it lacks
     and returns a copy of its first nmax + 1 values (see the module docstring).
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    nmax = _count(nmax, "nmax")
     y = as_rational(y)
     e = _int_exponent(y, ctx.c)
     if not e:
@@ -120,8 +118,7 @@ def carlitz_poly_values(nmax: int, y: RationalLike, ctx: QContext) -> List[Fract
 
 def carlitz_poly(n: int, y: RationalLike, ctx: QContext) -> Fraction:
     """q-Bernoulli polynomial b_n(y) at base q^c; b_n(0) = b_n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _count(n, "n")
     return carlitz_poly_values(n, y, ctx)[n]
 
 
@@ -132,15 +129,13 @@ def degenerate_qpoly(m: int, y: RationalLike, lam_deg: RationalLike, ctx: QConte
     and reproduces the plain q-Bernoulli polynomial.  The transform of the
     row b_0(y), ..., b_m(y) is exactnum.stirling_transform.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count(m, "m")
     return stirling_transform(carlitz_poly_values(m, y, ctx), lam_deg)
 
 
 def classical_numbers(nmax: int) -> Tuple[Fraction, ...]:
     """Bernoulli numbers (B_0, ..., B_nmax) from sum_{k<n} C(n,k) B_k = 0 (n >= 2)."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    nmax = _count(nmax, "nmax")
     table = _carlitz_row(_ONE, 1, 0)
     for n in range(len(table) + 1, nmax + 2):  # recurrence index: B_{n-1} from row n
         table.append(-sum(binom(n, k) * table[k] for k in range(n - 1)) / n)
@@ -152,8 +147,7 @@ def classical_poly(m: int, x: RationalLike) -> Fraction:
 
     With x = u/w and B_k = E_k / D it is sum_k C(m,k) E_k u^(m-k) w^k / (D w^m).
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count(m, "m")
     u, w = as_rational(x).as_integer_ratio()
     E, D = _over_lcm(classical_numbers(m))
     return Fraction(sum(comb(m, k) * E[k] * u ** (m - k) * w**k for k in range(m + 1)), D * w**m)
@@ -167,8 +161,7 @@ def carlitz_numbers_ratfunc(nmax: int) -> List[RatFuncQ]:
     reduced, and ratfunc_limit cancels the (q - 1) factors when it takes
     the exact q -> 1 limit.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    nmax = _count(nmax, "nmax")
 
     def padd(a: List[int], b: List[int]) -> List[int]:
         n = max(len(a), len(b))

@@ -5,6 +5,8 @@ Everything in this package computes with arbitrary-precision rationals
 supplies the shared scalar toolbox:
 
 * generalized binomial coefficients ``binom(e, k)`` for rational ``e``,
+* ``_count(value, name, low=0)``: a degree, order or level as an int at or
+  above its floor; a float raises TypeError, a smaller int ValueError,
 * ``_over_lcm(values)``: a row of Fractions as integer numerators over the
   lcm of their denominators, so that every exact row is one integer sum,
 * signed Stirling numbers of the first kind ``stirling1(n, m)`` and
@@ -27,6 +29,7 @@ and the empty product / ``0**0 == 1`` conventions hold throughout.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, factorial, lcm
@@ -68,6 +71,14 @@ def as_rational(value: RationalLike) -> Fraction:
         # floats carry binary rounding; exactness is the whole point here
         raise TypeError("floats are not accepted; pass a Fraction or 'num/den' string")
     return Fraction(value)
+
+
+def _count(value: int, name: str, low: int = 0) -> int:
+    """value as an int at or above low: a float raises TypeError, a smaller int ValueError."""
+    n = operator.index(value)
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
+    return n
 
 
 def rat_str(value: Fraction) -> str:

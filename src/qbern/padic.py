@@ -23,7 +23,7 @@ import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .exactnum import RationalLike, _Value, _block, _over_lcm, as_rational
+from .exactnum import RationalLike, _Value, _block, _count, _over_lcm, as_rational
 
 __all__ = [
     "INF",
@@ -130,12 +130,9 @@ def _expansion(n: int, x0: int, q: Fraction, lam: Fraction) -> List[Fraction]:
 
 def _riemann_sum(n: int, x0, params: PadicParams, N: int, lam: Fraction) -> Fraction:
     # lam is passed apart from params so the lam = 0 case builds no new params
-    n, N = operator.index(n), operator.index(N)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _count(n, "n")
     x0 = _check_x0(x0)
-    if N < 1:
-        raise ValueError(f"level N must be >= 1, got {N}")
+    N = _count(N, "level N", 1)
     memo, key = _block(), ("riemann", n, x0, params.q, lam)
     if key not in memo:
         memo[key] = _over_lcm(_expansion(n, x0, params.q, lam))     # rescaled once per block
@@ -166,12 +163,9 @@ def riemann_sum_mu1(n: int, x0: RationalLike, lam: RationalLike, p: int, N: int)
     polynomial of degree n, summed as sum_j (Delta^j f)(0) C(p^N, j+1); d^n
     is divided out at the end.  Shares nothing with the series code it checks.
     """
-    n, N = operator.index(n), operator.index(N)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _count(n, "n")
     p = _check_odd_prime(p)
-    if N < 1:
-        raise ValueError(f"level N must be >= 1, got {N}")
+    N = _count(N, "level N", 1)
     x0 = as_rational(x0)
     lam = as_rational(lam)
     if vp(x0, p) < 0 or vp(lam, p) < 0:
@@ -203,7 +197,10 @@ def convergence_report(
     merely bounded sequence fails the net-growth condition.  Low-level
     plateaus (two equal valuations before growth resumes) are accepted:
     they occur in the true sequences and carry no divergence signal.
+    Growth needs at least two levels; fewer is a ValueError.
     """
+    if len(sums) < 2:
+        raise ValueError(f"valuation growth needs at least two levels, got {len(sums)}")
     target = as_rational(target)
     rows = [(int(N), vp(as_rational(s) - target, p)) for N, s in sums]
     return rows, _growth_verdict([val for _, val in rows])

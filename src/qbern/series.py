@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List, Sequence, Tuple
 
-from .exactnum import RationalLike, _Value, _over_lcm, as_rational
+from .exactnum import RationalLike, _Value, _count, _over_lcm, as_rational
 
 __all__ = [
     "ZeroLambda",
@@ -66,13 +66,11 @@ class TruncSeries(_Value):
 
     @classmethod
     def constant(cls, c: RationalLike, order: int) -> "TruncSeries":
-        return cls((as_rational(c),) + (Fraction(0),) * order)
+        return cls((as_rational(c),) + (Fraction(0),) * _count(order, "order"))
 
     @classmethod
     def t(cls, order: int) -> "TruncSeries":
-        if order < 1:
-            raise ValueError("order must be >= 1 to represent t")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (_count(order, "order", 1) - 1))
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; order+1 for the zero series."""
@@ -149,8 +147,7 @@ def binom_series(lam: RationalLike, e: RationalLike, order: int) -> TruncSeries:
 
     With e = a/b and lam = g/h, that is prod_{i<k} (a - i b) g^k / (b^k h^k k!).
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _count(order, "order")
     g, h = as_rational(lam).as_integer_ratio()
     a, b = as_rational(e).as_integer_ratio()
     coeffs, num, den = [Fraction(1)], 1, 1
@@ -162,7 +159,7 @@ def binom_series(lam: RationalLike, e: RationalLike, order: int) -> TruncSeries:
 
 def log1p_series(lam: RationalLike, order: int) -> TruncSeries:
     """log(1 + lam*t) truncated at t^order."""
-    lam = as_rational(lam)
+    lam, order = as_rational(lam), _count(order, "order")
     coeffs = [Fraction(0)]
     lam_pow = lam
     for k in range(1, order + 1):
@@ -173,7 +170,7 @@ def log1p_series(lam: RationalLike, order: int) -> TruncSeries:
 
 def log_factor_series(lam: RationalLike, order: int) -> TruncSeries:
     """log(1 + lam*t) / (lam*t): the exact ratio of the two families."""
-    lam = _check_lam(as_rational(lam))
+    lam, order = _check_lam(as_rational(lam)), _count(order, "order")
     coeffs = []
     lam_pow = Fraction(1)
     for k in range(order + 1):
@@ -196,20 +193,19 @@ def _degenerate_series(top: TruncSeries, x, lam: Fraction, order: int) -> TruncS
 
 def carlitz_series(x: RationalLike, lam: RationalLike, order: int) -> TruncSeries:
     """Degenerate Bernoulli generating series (no log factor), exact to t^order."""
-    lam = _check_lam(as_rational(lam))
+    lam, order = _check_lam(as_rational(lam)), _count(order, "order")
     return _degenerate_series(TruncSeries.t(order + 1), x, lam, order)
 
 
 def kim_series(x: RationalLike, lam: RationalLike, order: int) -> TruncSeries:
     """Fully degenerate Bernoulli generating series (log numerator), exact to t^order."""
-    lam = _check_lam(as_rational(lam))
+    lam, order = _check_lam(as_rational(lam)), _count(order, "order")
     return _degenerate_series(log1p_series(lam, order + 1).scale(1 / lam), x, lam, order)
 
 
 def _coefficient(gen, n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     # n! times the t^n coefficient of gen(x, lam, n), which is exact through t^n
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _count(n, "n")
     return factorial(n) * gen(x, lam, n)[n]
 
 

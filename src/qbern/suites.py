@@ -18,7 +18,7 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bernoulli, exactnum, padic, qcore, series, symmetry
-from .exactnum import RationalLike, _Value, as_rational, rat_str
+from .exactnum import RationalLike, _Value, _count, as_rational, rat_str
 from .padic import INF, PadicParams, Valuation
 from .qcore import SPECIAL_Q, QContext
 
@@ -71,6 +71,7 @@ class SuiteResult(_Value):
     """One suite's outcome: one JSON item per check, which the verdict and all reports read."""
 
     _fields = ("name", "params", "items")
+    __hash__ = None                     # params and items are dicts
 
     def __init__(self, name: str, params: Dict[str, object], items: Tuple[Dict[str, object], ...]):
         # an empty sweep would pass on no evidence at all
@@ -223,8 +224,7 @@ def series_factor_suite(order: int = 12, samples: int = 20, seed: int = 0) -> Su
     sampled nonzero since both representations are singular at lam = 0
     (the lam -> 0 endpoint is covered by the collapse tests instead).
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _count(order, "order")
     rng = random.Random(seed)
     items: List[Dict[str, object]] = []
     for idx in range(samples):
@@ -301,10 +301,7 @@ def oracle_report(
     """
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"family must be one of {ORACLE_FAMILIES}, got {family!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if nmax < 2:
-        raise ValueError(f"nmax must be >= 2 to show valuation growth, got {nmax}")
+    n, nmax = _count(n, "n"), _count(nmax, "nmax", 2)
     lam = as_rational(lam)
     x0 = as_rational(x0)
     if family == "mu1":

@@ -31,8 +31,8 @@ from math import comb, factorial, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import carlitz_poly_values, degenerate_qpoly
-from .exactnum import (RationalLike, _Value, _block, _over_lcm, as_rational, rat_str, shared_rows,
-                       stirling_transform)
+from .exactnum import (RationalLike, _Value, _block, _count, _over_lcm, as_rational, rat_str,
+                       shared_rows, stirling_transform)
 from .qcore import QContext, _int_exponent, qnum
 
 __all__ = [
@@ -131,9 +131,7 @@ def kernel_K(
     product over the axes is an integer over d^(eG), G = len(u) U - sum P,
     and the whole sum is one Fraction.
     """
-    i, t, b = operator.index(i), operator.index(t), operator.index(b)
-    if i < 0 or t < 0:
-        raise ValueError("i and t must be nonnegative")
+    i, t, b = _count(i, "i"), _count(t, "t"), operator.index(b)
     if b < 1:
         raise ValueError(f"kernel base exponent b must be a positive integer; got {b}")
     ctx = QContext(q, b)
@@ -191,8 +189,7 @@ def thm2_expr(
     thm3_expr.  The values come from the block's Carlitz rows, one table
     per W, and each grows once, since a row grows from the top degree down.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count(m, "m")
     q = as_rational(q)
     lam = as_rational(lam)
     e0 = _int_exponent(view.v * as_rational(x), view.W)      # W*y at S = 0
@@ -252,8 +249,7 @@ def thm3_expr(
     a block all are built afresh.  Kept as a genuinely different route: it
     runs through kernel_K, so eq20 has teeth.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count(m, "m")
     q = as_rational(q)
     x = as_rational(x)
     memo = _block()
@@ -290,8 +286,7 @@ def thm1_coeffs(
     q: RationalLike,
 ) -> List[Fraction]:
     """Coefficients through t^order, thm2_expr(m)/m!, in one block from the top degree down."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _count(order, "order")
     return [thm2_expr(view, m, x, lam, q) / factorial(m) for m in range(order, -1, -1)][::-1]
 
 
@@ -302,6 +297,7 @@ class SymmetryReport(_Value):
     """Per-sigma values plus an exact-equality verdict ("pass" | "fail") for one identity."""
 
     _fields = ("kind", "weights", "params", "values", "verdict", "counterexample")
+    __hash__ = None                     # params and counterexample are dicts
 
     def __init__(self, kind: str, weights: Tuple[int, ...], params: Dict[str, str],
                  values: Tuple[Tuple[Tuple[int, ...], ReportValue], ...], verdict: str,

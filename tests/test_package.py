@@ -1,6 +1,7 @@
 """The package namespace: exactly the public names of its modules, their input checks,
 the frozen value classes' semantics, and what a cold import loads."""
 
+import collections.abc
 import copy
 import os
 import pickle
@@ -46,6 +47,14 @@ _INPUT_CHECKS = {
     "thm1_coeffs": (lambda: qbern.thm1_coeffs(_VIEW, -1, 0, 0, 2), "order must be >= 0"),
     "TruncSeries": (lambda: qbern.TruncSeries(()), "needs at least the constant term"),
     "TruncSeries.t": (lambda: qbern.TruncSeries.t(0), "order must be >= 1"),
+    "TruncSeries.constant": (lambda: qbern.TruncSeries.constant(1, -1),
+                             "order must be >= 0, got -1"),
+    "log1p_series": (lambda: qbern.log1p_series(1, -1), "order must be >= 0, got -1"),
+    "log_factor_series": (lambda: qbern.log_factor_series(1, -1), "order must be >= 0, got -1"),
+    "carlitz_series": (lambda: qbern.carlitz_series(0, 1, -1), "order must be >= 0, got -1"),
+    "kim_series": (lambda: qbern.kim_series(0, 1, -1), "order must be >= 0, got -1"),
+    "kernel_K i": (lambda: qbern.kernel_K((2,), -1, 0, 3), "i must be >= 0, got -1"),
+    "kernel_K t": (lambda: qbern.kernel_K((2,), 0, -1, 3), "t must be >= 0, got -1"),
 }
 
 
@@ -53,6 +62,14 @@ _INPUT_CHECKS = {
 def test_input_below_its_floor_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_float_degree_is_refused_in_a_block_that_holds_its_int():
+    # the block's memo key (x, 2.0, lam) equals (x, 2, lam), so only the check can refuse it
+    with exactnum.shared_rows():
+        assert qbern.thm2_expr(_VIEW, 2, 0, 0, 2) == qbern.thm2_expr(_VIEW, 2, 0, 0, 2)
+        with pytest.raises(TypeError):
+            qbern.thm2_expr(_VIEW, 2.0, 0, 0, 2)
 
 
 # one sample per value class: (keyword arguments, a field to change and its new value, exact repr)
@@ -102,9 +119,11 @@ def test_value_classes_are_frozen_and_compare_by_their_fields(cls, kwargs, chang
     assert a != object() and a != text and a != tuple(vars(a).values())
     assert a == ANY                                   # another type decides: NotImplemented
     if any(isinstance(v, dict) for v in kwargs.values()):
+        assert not isinstance(a, collections.abc.Hashable)
         with pytest.raises(TypeError):                 # a dict field makes the value unhashable
             hash(a)
     else:
+        assert isinstance(a, collections.abc.Hashable)
         assert hash(a) == hash(b)
     for field in (name, "extra"):
         with pytest.raises(AttributeError):

@@ -303,6 +303,12 @@ def test_integer_arguments_reject_floats(family, n, N, p):
 
 
 class TestConvergenceReport:
+    @pytest.mark.parametrize("sums", [[(1, Fraction(6))], []])
+    def test_fewer_than_two_levels_is_refused(self, sums):
+        # one level or none shows no growth, so it must not pass
+        with pytest.raises(ValueError, match=f"at least two levels, got {len(sums)}"):
+            convergence_report(Fraction(1), sums, 5)
+
     def test_rows_carry_levels_and_valuations(self):
         sums = [(1, Fraction(26, 25)), (2, Fraction(126, 125))]
         rows, ok = convergence_report(Fraction(1), sums, 5)
