@@ -25,12 +25,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import bernoulli, exactnum, series, suites, symmetry
 from .exactnum import rat_str
@@ -200,7 +199,7 @@ def _run_compute(cfg: argparse.Namespace) -> Document:
     params = {"lambda" if dest == "lam" else dest: _param(getattr(cfg, dest))
               for dest in _READS[("compute", what)] if getattr(cfg, dest) is not None}
     if what == "stirling":
-        rendered = exactnum._digits(exactnum.stirling1(cfg.n, cfg.m))
+        rendered = exactnum._halves(exactnum.stirling1(cfg.n, cfg.m))
     elif what == "qbern":
         rendered = rat_str(bernoulli.carlitz_numbers(cfg.n, QContext(cfg.q, c=cfg.c))[cfg.n])
     elif what == "qpoly":
@@ -297,15 +296,16 @@ def _flat(value) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(value.items()))
 
 
-def _render(doc: Document, fmt: str) -> str:
+def _write(doc: Document, fmt: str, fh: TextIO) -> None:
     json_dict, text_lines, _ = doc
-    if fmt == "json":
-        return json.dumps(json_dict, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(_csv_table(json_dict))
-        return buf.getvalue()
-    return "\n".join(text_lines) + "\n"
+        csv.writer(fh, lineterminator="\n").writerows(_csv_table(json_dict))
+    elif fmt == "json":
+        # Rendered whole, then written once: json.dump would call fh.write once per
+        # chunk, some 288,000 times for a 1.9 MB report, which costs more than the string.
+        fh.write(json.dumps(json_dict, indent=2, sort_keys=True) + "\n")
+    else:
+        fh.write("\n".join(text_lines) + "\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -327,13 +327,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc = _run_oracle(ns)
     except (UsageError, ValueError) as exc:
         return _error(exc)
-    payload = _render(doc, ns.fmt)
     try:
         if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                _write(doc, ns.fmt, fh)
         else:
-            sys.stdout.write(payload)
+            _write(doc, ns.fmt, sys.stdout)
     except OSError as exc:
         return _error(exc)
     return 1 if doc[2] else 0

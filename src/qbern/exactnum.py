@@ -17,8 +17,8 @@ supplies the shared scalar toolbox:
 * ``RatFuncQ``, a univariate rational function over the rationals kept
   as an unreduced numerator/denominator pair, and ``ratfunc_limit``,
   which takes its exact limits such as ``q -> 1``,
-* ``shared_rows()``, the scope of every layer's shared rows, sums and expansions:
-  a thread's block keeps them in one dict, and none outlives its outermost end.
+* ``shared_rows()``, the scope of every layer's shared rows, sums and expansions and of
+  rat_str's big strings: a thread's block keeps them in one dict, none past its outermost end.
 
 Stirling numbers use the signed convention fixed by
 
@@ -84,20 +84,15 @@ def _count(value: int, name: str, low: int = 0) -> int:
 def rat_str(value: Fraction) -> str:
     """Serialize a rational as "num/den" (denominator always present), at any size.
 
-    A shared_rows() block keeps the digits of each numerator or denominator
-    past 2^2000, so a value printed n! times is converted once per block.
+    A shared_rows() block keeps the string of each value whose numerator or
+    denominator is past 2^2000, so a value printed n! times is one string per block.
     """
-    v = as_rational(value)
-    return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
-
-
-def _digits(n: int) -> str:
-    """Decimal digits of an int of any size; an open block keeps those of each n past 2^2000."""
-    if n.bit_length() <= 2000:
-        return str(n)
-    memo, key = _block(), ("digits", n)
+    num, den = as_rational(value).as_integer_ratio()
+    if num.bit_length() <= 2000 and den.bit_length() <= 2000:
+        return f"{num}/{den}"
+    memo, key = _block(), ("rat_str", num, den)
     if key not in memo:
-        memo[key] = _halves(n)
+        memo[key] = f"{_halves(num)}/{_halves(den)}"
     return memo[key]
 
 

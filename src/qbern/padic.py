@@ -202,7 +202,7 @@ def convergence_report(
     if len(sums) < 2:
         raise ValueError(f"valuation growth needs at least two levels, got {len(sums)}")
     target = as_rational(target)
-    rows = [(int(N), vp(as_rational(s) - target, p)) for N, s in sums]
+    rows = [(_count(N, "level N", 1), vp(as_rational(s) - target, p)) for N, s in sums]
     return rows, _growth_verdict([val for _, val in rows])
 
 

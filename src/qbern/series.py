@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .exactnum import RationalLike, _Value, _count, _over_lcm, as_rational
 
@@ -62,6 +62,8 @@ class TruncSeries(_Value):
         return len(self.coeffs) - 1
 
     def __getitem__(self, k: int) -> Fraction:
+        if k < 0:
+            raise IndexError(f"a power series has no t^{k} term")
         return self.coeffs[k]
 
     @classmethod

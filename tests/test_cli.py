@@ -277,6 +277,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["compute", "qbern", "--n", "2", "--q", "2"],
         ["verify", "thm2", "--weights", "2,3", "--m-max", "1", "--format", "json"],  # > 8 KB
+        ["verify", "thm2", "--weights", "2,3", "--m-max", "3", "--samples", "10",
+         "--format", "csv"],                                       # 14 KB, written row by row
+        ["verify", "thm2", "--weights", "2,3", "--m-max", "3", "--samples", "10",
+         "--format", "csv", "--out", "/dev/full"],
         ["--help"],
         ["verify", "eq12", "--help"],
     ])
@@ -449,6 +453,15 @@ class TestOutputPlumbing:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
         assert doc["verdict"] == "pass"
+
+    def test_csv_out_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["verify", "thm2", "--weights", "2,3", "--m-max", "3", "--samples", "10",
+                "--format", "csv"]
+        target = tmp_path / "report.csv"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
     def test_json_byte_determinism(self, capsys):
         argv = [

@@ -135,9 +135,10 @@ class TestSharedRows:
         gc.collect()
         assert ref() is None
 
-    def test_a_big_int_is_converted_once_per_block(self, monkeypatch):
-        # ints past 2^2000 are split once per block; smaller ones never
-        # reach the split.  tops records the calls that start a split
+    def test_a_big_value_is_one_string_per_block(self, monkeypatch):
+        # a value whose numerator or denominator is past 2^2000 is split once
+        # per block and printed as one str object; smaller values never reach
+        # the split.  tops records the calls that start a split
         big = 7 * (10**1000 - 1) // 9
         tops, depth = [], []
         real = exactnum._halves
@@ -152,13 +153,19 @@ class TestSharedRows:
                 depth.pop()
 
         monkeypatch.setattr(exactnum, "_halves", halves)
-        values = [Fraction(big, 3), Fraction(-big, 5), Fraction(3, big), Fraction(10**600, 3)]
+        values = [Fraction(big, 3), Fraction(-big, 5), Fraction(3, big),
+                  Fraction(10**600, 3), Fraction(2**2000 - 1, 2**2000 - 3)]
         expected = [f"{v.numerator}/{v.denominator}" for v in values]
+        split = [big, 3, -big, 5, 3, big]           # numerator, then denominator
         with shared_rows():
-            assert [rat_str(v) for v in values * 3] == expected * 3
-        assert tops == [big, -big]             # big is a numerator and a denominator
+            first = [rat_str(v) for v in values]
+            again = [rat_str(v) for v in values]
+            assert first == expected and again == expected
+            assert all(a is b for a, b in zip(again[:3], first[:3]))    # the big three
+            assert rat_str(Fraction(2 * big, 6)) is first[0]        # an equal value
+        assert tops == split
         assert [rat_str(v) for v in values] == expected
-        assert tops == [big, -big] + [big, -big, big]      # outside a block, once per use
+        assert tops == split * 2                    # outside a block, once per use
 
 
 class TestBinom:

@@ -309,6 +309,16 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match=f"at least two levels, got {len(sums)}"):
             convergence_report(Fraction(1), sums, 5)
 
+    @pytest.mark.parametrize("level, error, message", [
+        (1.5, TypeError, None),
+        (0, ValueError, "level N must be >= 1, got 0"),
+        (-3, ValueError, "level N must be >= 1, got -3"),
+    ])
+    def test_levels_are_counts_from_one(self, level, error, message):
+        # a level is checked like every other level argument, not cast with int()
+        with pytest.raises(error, match=message):
+            convergence_report(Fraction(0), [(level, Fraction(5)), (2, Fraction(25))], 5)
+
     def test_rows_carry_levels_and_valuations(self):
         sums = [(1, Fraction(26, 25)), (2, Fraction(126, 125))]
         rows, ok = convergence_report(Fraction(1), sums, 5)

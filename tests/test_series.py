@@ -41,6 +41,11 @@ class TestTruncSeries:
         with pytest.raises(IndexError):
             series([1])[5]
 
+    def test_getitem_below_zero_raises(self):
+        # a power series has no t^-1 term; the tuple's own [-1] is the top one
+        with pytest.raises(IndexError, match="no t\\^-1 term"):
+            series([1, 2])[-1]
+
     def test_valuation(self):
         assert series([0, 0, 7, 1]).valuation() == 2
         assert series([3, 1]).valuation() == 0

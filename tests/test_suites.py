@@ -114,6 +114,18 @@ class TestThmSuite:
         ids = [set(kept) for kept in rows.values()]
         assert all(not (mine & theirs) for mine, theirs in itertools.combinations(ids, 2))
 
+    def test_views_share_one_string_per_big_value(self):
+        # the 120 views of an item print each value past 2^2000 as one str
+        # object; here m = 2 and 3 are past it, the top one about 3,800 bits
+        res = thm_suite("thm2", [(1, 2, 3, 4, 5)], 3, xs=(1,),
+                        points=[(Fraction(7, 9), Fraction(2, 5))])
+        big = [item for item in res.items if item["params"]["m"] in ("2", "3")]
+        assert len(big) == 2 and res.ok
+        for item in big:
+            texts = [entry["value"] for entry in item["values"]]
+            assert len(texts) == 120
+            assert len({id(text) for text in texts}) == len(set(texts)) == 1
+
     def test_explicit_points_override_sampling(self):
         pts = [(Fraction(2), Fraction(1))]
         res = thm_suite("thm2", [(2, 2)], m_max=1, xs=(1,), points=pts)
